@@ -136,9 +136,7 @@ class ChameleonCredential:
 
 @dataclass
 class SessionContext:
-    side: str
     t1: int = 0
-    t2: int = 0
     beta_own: int = 0
     beta_peer: int = 0
     m_secret: bytes = b""
@@ -147,8 +145,6 @@ class SessionContext:
     rep_bytes: bytes = b""
     # roadside bookkeeping
     ch: "tuple[int, int] | None" = None
-    pid_new: bytes = b""
-    d_new: bytes = b""
     established: bool = False
     used_inline_point: bool = False
 
@@ -200,6 +196,24 @@ def _emit(sink, now: int, actor: str, event: str, outcome: str, **extra) -> None
 
 def format_event(record: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in record.items())
+
+
+def _recover_pseudonym_key(gs: GroupSecret, pid: bytes) -> "tuple[bytes, bytes]":
+    """(pd, D) behind a pseudonym: pID decrypt under b, then h1."""
+    pd = symmetric.pid_decrypt(gs.b, pid)
+    return pd, hashes.h1(pd, gs.gk, gs.b, pid)
+
+
+def _recover_commitment(req: AuthRequest, d: bytes, rsu_pk) -> "tuple[int, tuple[int, int] | None]":
+    """(beta, CH) that a request authenticates under pseudonym key D.
+
+    S1 decrypts to beta, h2 gives gamma, and CH = m*P + gamma*A; CH is
+    None when the request resolves to the identity. Each verifier turns
+    the result into its own verdict.
+    """
+    beta = int.from_bytes(symmetric.sym_decrypt(d, req.s1, _s1_context(req.t1)), "big")
+    gamma = hashes.h2(req.pid, beta, req.a_point, req.s1, d, rsu_pk, req.t1)
+    return beta, curve.msm2(req.m, gamma, req.a_point)
 
 
 class Authority:
@@ -254,12 +268,8 @@ class Authority:
             req = AuthRequest.decode(report.req_bytes)
         except WireError as exc:
             raise BadEvidence(f"unparseable request: {exc}") from exc
-        gs = self.group_secret
-        pd_star = symmetric.pid_decrypt(gs.b, req.pid)
-        d_star = hashes.h1(pd_star, gs.gk, gs.b, req.pid)
-        beta_star = int.from_bytes(symmetric.sym_decrypt(d_star, req.s1, _s1_context(req.t1)), "big")
-        gamma_star = hashes.h2(req.pid, beta_star, req.a_point, req.s1, d_star, rsu_pk, req.t1)
-        ch = curve.msm2(req.m, gamma_star, req.a_point)
+        _, d_star = _recover_pseudonym_key(self.group_secret, req.pid)
+        _, ch = _recover_commitment(req, d_star, rsu_pk)
         if ch is None:
             raise UnknownCH("request resolves to the identity point")
         self.view.sync_to(now)
@@ -364,16 +374,8 @@ class RoadsideUnit:
             if abs(ts_delta(now, request.t1)) > self.freshness_ms:
                 raise StaleTimestamp("request timestamp outside the freshness window")
             self._check_replay(request.pid, request.t1)
-            gs = self.group_secret
-            pd_star = symmetric.pid_decrypt(gs.b, request.pid)
-            d_star = hashes.h1(pd_star, gs.gk, gs.b, request.pid)
-            beta_star = int.from_bytes(
-                symmetric.sym_decrypt(d_star, request.s1, _s1_context(request.t1)), "big"
-            )
-            gamma_star = hashes.h2(
-                request.pid, beta_star, request.a_point, request.s1, d_star, self.sign_pk, request.t1
-            )
-            ch_candidate = curve.msm2(request.m, gamma_star, request.a_point)
+            pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
+            beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
             if ch_candidate is None:
                 raise UnknownCredential("request resolves to the identity point")
             self.view.sync_to(now)
@@ -399,9 +401,7 @@ class RoadsideUnit:
             s3 = hashes.h5(s2, beta_rsu, pid_new, d_new, m_star, ks, t2)
             reply = AuthReply(s2=s2, s3=s3, t2=t2)
             ctx = SessionContext(
-                side="rsu",
                 t1=request.t1,
-                t2=t2,
                 beta_own=beta_rsu,
                 beta_peer=beta_star,
                 m_secret=m_star,
@@ -409,8 +409,6 @@ class RoadsideUnit:
                 req_bytes=req_bytes,
                 rep_bytes=reply.encode(),
                 ch=ch_candidate,
-                pid_new=pid_new,
-                d_new=d_new,
             )
             self.sessions.append(ctx)
             _emit(self.event_sink, now, self.node_id, "verify_request", "ok")
@@ -517,30 +515,29 @@ class Vehicle:
 
     # -- handover ---------------------------------------------------------
 
-    def refill_pool(self, target: int = POOL_TARGET) -> None:
-        """Precompute blinded points off the critical path. Canonical form
-        comes for free: negating alpha flips the point's y parity."""
-        cred = self.credential
-        while len(cred.pool) < target:
-            alpha = curve.rand_nonzero_scalar(self.rng)
-            a_pt = curve.scalar_mul(cred.y_point, alpha)
-            if not curve.has_even_y(a_pt):
-                alpha = Q - alpha
-                a_pt = curve.point_neg(a_pt)
-            cred.pool.append((alpha, a_pt))
-
-    def _take_blinded_point(self):
-        cred = self.credential
-        if cred.pool:
-            return cred.pool.pop(), False
-        # pool exhausted: compute inline, flagged so benchmarks can tell
-        self.inline_point_uses += 1
+    def _draw_blinded_point(self):
+        """(alpha, A = alpha*Y) with A in canonical even-y form, which comes
+        for free: negating alpha flips the point's y parity."""
         alpha = curve.rand_nonzero_scalar(self.rng)
-        a_pt = curve.scalar_mul(cred.y_point, alpha)
+        a_pt = curve.scalar_mul(self.credential.y_point, alpha)
         if not curve.has_even_y(a_pt):
             alpha = Q - alpha
             a_pt = curve.point_neg(a_pt)
-        return (alpha, a_pt), True
+        return alpha, a_pt
+
+    def refill_pool(self, target: int = POOL_TARGET) -> None:
+        """Precompute blinded points off the critical path."""
+        pool = self.credential.pool
+        while len(pool) < target:
+            pool.append(self._draw_blinded_point())
+
+    def _take_blinded_point(self):
+        pool = self.credential.pool
+        if pool:
+            return pool.pop(), False
+        # pool exhausted: compute inline, flagged so benchmarks can tell
+        self.inline_point_uses += 1
+        return self._draw_blinded_point(), True
 
     def start_handover(self, rsu_pk, now: int) -> "tuple[AuthRequest, SessionContext]":
         cred = self.credential
@@ -557,7 +554,6 @@ class Vehicle:
         m = (cred.trapdoor.k - r * cred.trapdoor.x) % Q
         request = AuthRequest(pid=cred.pid, m=m, a_point=a_pt, s1=s1, t1=t1)
         ctx = SessionContext(
-            side="vn",
             t1=t1,
             beta_own=beta,
             req_bytes=request.encode(),
@@ -586,7 +582,6 @@ class Vehicle:
             raise BadKeyConfirm("verifier key-confirmation tag mismatch")
         cred.pid = pid_new
         cred.d = d_new
-        ctx.t2 = reply.t2
         ctx.beta_peer = beta_rsu
         ctx.m_secret = m_secret
         ctx.ks = ks
@@ -666,9 +661,7 @@ def audit_frame_claim(
         req = AuthRequest.decode(req_bytes)
     except WireError as exc:
         raise InvalidEvidence(f"unparseable request: {exc}") from exc
-    beta_star = int.from_bytes(symmetric.sym_decrypt(disclosed_d, req.s1, _s1_context(req.t1)), "big")
-    gamma_star = hashes.h2(req.pid, beta_star, req.a_point, req.s1, disclosed_d, rsu_pk, req.t1)
-    ch_evidence = curve.msm2(req.m, gamma_star, req.a_point)
+    _, ch_evidence = _recover_commitment(req, disclosed_d, rsu_pk)
     tx = chain.get(txid)
     if tx is None or not isinstance(tx.payload, Registration):
         raise InvalidEvidence("claimed transaction not found")

@@ -22,7 +22,6 @@ from .simnet.scenarios import (
     REVOCATION,
     TRACE_AND_AUDIT,
     TWO_DOMAIN_DEMO,
-    canned_scenarios,
     run_scenario,
 )
 
@@ -244,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     rotate = sub.add_parser("rotate", help="rotate the group key with one revocation and one lost update")
     rotate.set_defaults(func=cmd_rotate)
     return parser
-
-
-def list_scenarios() -> dict:
-    return canned_scenarios()
 
 
 def main(argv=None) -> int:

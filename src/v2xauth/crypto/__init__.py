@@ -50,7 +50,6 @@ from .signatures import (
     aenc,
     keygen_enc,
     keygen_sig,
-    pubkey_bytes,
     sign,
     verify,
 )

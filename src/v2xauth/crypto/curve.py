@@ -29,6 +29,9 @@ the pure-Python window-NAF loop ``_msm2_py``, which also stays the
 reference that the tests hold the native path to.  ``BACKEND`` names
 the path in use (``"libcrypto"`` or ``"pure-python"``).  Both paths
 return identical affine tuples, including ``None`` for the identity.
+The fallback is built from the same Jacobian formulas as the ladder and
+costs about 3 ms a call on a shared 2-core x86-64 host (Python 3.11),
+where libcrypto takes 0.1-0.2 ms.
 """
 
 from __future__ import annotations
@@ -264,11 +267,10 @@ _GEN_TABLE = _odd_multiples(GEN, _WINDOW)
 def _msm2_py(m: int, gamma: int, a_pt):
     """Return ``m*GEN + gamma*a_pt`` (variable-time, shared doubling chain).
 
-    This is the verifier's workhorse; both scalars and the point are
-    public by the time it runs. The window-NAF loop is inlined: at
-    roughly 450 doublings-plus-additions per call, attribute lookups
-    and tuple packing would otherwise be a measurable slice of the
-    per-request verification budget.
+    Both scalars and the point are public by the time it runs. This is
+    the reference the native backend is tested against and the fallback
+    when libcrypto does not load (about 3 ms a call, see the module
+    docstring).
     """
     m %= Q
     gamma %= Q
@@ -285,58 +287,16 @@ def _msm2_py(m: int, gamma: int, a_pt):
     else:
         ng += [0] * (len(nm) - len(ng))
 
-    p = P
-    gen_table = _GEN_TABLE
-    X, Y, Z = 0, 1, 0
+    acc = _JAC_O
     for i in range(len(nm) - 1, -1, -1):
-        if Z:
-            # inline a=-3 Jacobian doubling (dbl-2001-b)
-            delta = Z * Z % p
-            g = Y * Y % p
-            beta = X * g % p
-            alpha = 3 * ((X - delta) * (X + delta)) % p
-            X3 = (alpha * alpha - 8 * beta) % p
-            Z = ((Y + Z) * (Y + Z) - g - delta) % p
-            Y = (alpha * (4 * beta - X3) - 8 * g * g) % p
-            X = X3
-        for d, table in ((nm[i], gen_table), (ng[i], a_table)):
-            if d:
-                if d > 0:
-                    px, py = table[d >> 1]
-                else:
-                    px, py = table[(-d) >> 1]
-                    py = p - py
-                if not Z:
-                    X, Y, Z = px, py, 1
-                    continue
-                # inline mixed addition (add-2007-bl, Z2 = 1)
-                Z1Z1 = Z * Z % p
-                U2 = px * Z1Z1 % p
-                S2 = py * Z % p * Z1Z1 % p
-                H = (U2 - X) % p
-                if not H:
-                    if S2 == Y:
-                        delta = Z * Z % p
-                        g = Y * Y % p
-                        beta = X * g % p
-                        alpha = 3 * ((X - delta) * (X + delta)) % p
-                        X3 = (alpha * alpha - 8 * beta) % p
-                        Z = ((Y + Z) * (Y + Z) - g - delta) % p
-                        Y = (alpha * (4 * beta - X3) - 8 * g * g) % p
-                        X = X3
-                    else:
-                        X, Y, Z = 0, 1, 0
-                    continue
-                HH = H * H % p
-                I = 4 * HH % p
-                J = H * I % p
-                r = 2 * (S2 - Y) % p
-                V = X * I % p
-                X3 = (r * r - J - 2 * V) % p
-                Y = (r * (V - X3) - 2 * Y * J) % p
-                Z = ((Z + H) * (Z + H) - Z1Z1 - HH) % p
-                X = X3
-    return _jac_to_affine(X, Y, Z)
+        acc = _jac_double(*acc)
+        for d, table in ((nm[i], _GEN_TABLE), (ng[i], a_table)):
+            if d > 0:
+                acc = _jac_add_affine(*acc, *table[d >> 1])
+            elif d < 0:
+                px, py = table[-d >> 1]
+                acc = _jac_add_affine(*acc, px, P - py)
+    return _jac_to_affine(*acc)
 
 
 # --- libcrypto backend for msm2 ------------------------------------------------

@@ -19,7 +19,6 @@ from .curve import (
     GEN,
     Q,
     SCALAR_BYTES,
-    point_compress,
     rand_nonzero_scalar,
     scalar_mul,
     msm2,
@@ -106,8 +105,3 @@ def adec(sk: int, blob: bytes) -> bytes:
     if not hmac.compare_digest(expect, tag):
         raise IntegrityError("authentication tag mismatch")
     return sym_decrypt(ke, ct, b"hybrid")
-
-
-def pubkey_bytes(pk) -> bytes:
-    """Compressed public-key encoding used in hash inputs and directories."""
-    return point_compress(pk)

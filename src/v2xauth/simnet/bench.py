@@ -148,7 +148,8 @@ def bench_loss_ratio(config: BenchConfig, seed: int = 0xC0):
         request, _ = vn.start_handover(rsu.sign_pk, now=int(arrival))
         stream.append((arrival, request))
 
-    # calibration for the capacity estimate
+    # calibration for the capacity estimate; the median, because the first
+    # calls cost two to three times the rest
     calib = []
     for arrival, request in stream[: config.warmup]:
         t0 = time.perf_counter_ns()
@@ -156,7 +157,7 @@ def bench_loss_ratio(config: BenchConfig, seed: int = 0xC0):
         calib.append((time.perf_counter_ns() - t0) / 1e6)
     rsu._replay_cache.clear()
     rsu.sessions.clear()
-    capacity = 1000.0 / statistics.fmean(calib) if calib else 0.0
+    capacity = 1000.0 / statistics.median(calib) if calib else 0.0
 
     intervals = config.duration_ms // config.interval_ms
     served = [0] * intervals

@@ -4,7 +4,7 @@ A discrete-event engine moves protocol messages between actor hosts
 over links with integer-millisecond latency, optional jitter, and drop
 probability. Time is virtual: with the same seed, two runs produce
 byte-identical transcripts. Links between infrastructure nodes
-(authority, region servers, roadside units, fog forwarders) are secure:
+(authority, region servers, roadside units) are secure:
 the scripted adversary can neither observe nor touch them, matching the
 system's wired-backbone assumption. Vehicle-to-roadside links are open.
 
@@ -40,7 +40,6 @@ from ..wire import (
 
 OPEN_KINDS = {"REQ", "REP", "ACK", "S_UPD"}
 SECURE_KINDS = {"REG_REQ", "REG_FWD", "REG_RCPT", "REG_REP", "GK", "RPT"}
-PROTOCOL_VERSION = 1  # single framing byte, outside the payload byte accounting
 
 
 class SimnetError(Exception):
@@ -228,9 +227,7 @@ class Host:
         raise NotImplementedError
 
     def emit(self, now, event, outcome, **extra):
-        record = {"t": now, "actor": self.name, "event": event, "outcome": outcome}
-        record.update(extra)
-        self.engine.transcript.record_event(record)
+        actors._emit(self.engine.transcript.record_event, now, self.name, event, outcome, **extra)
 
 
 class VehicleHost(Host):
@@ -416,15 +413,6 @@ class LeaHost(Host):
             self.engine.send(self.name, rsm_name, "GK", payload, now)
 
 
-class FogHost(Host):
-    """Keyless pass-through forwarder; adds only its link latency."""
-
-    def handle(self, msg: Message, now: int):
-        target = self.engine.fog_routes.get((self.name, msg.kind, msg.src))
-        if target is not None:
-            self.engine.send(self.name, target, msg.kind, msg.payload, now)
-
-
 # --- engine --------------------------------------------------------------------
 
 
@@ -445,7 +433,6 @@ class Engine:
         self.lea_name = ""
         self.chain = Ledger()
         self.adversary: Adversary | None = None
-        self.fog_routes = {}
 
     def node_rng(self):
         return random.Random(self.rng.getrandbits(64))
@@ -492,9 +479,6 @@ class Engine:
         self.vehicles[name] = host
         self.add_link(Link(name, home_rsm, latency_ms=1, secure=True))
         return vn
-
-    def add_fog(self, name: str):
-        self.hosts[name] = FogHost(name, self)
 
     def add_link(self, link: Link):
         self.links[link.key()] = link

@@ -141,8 +141,6 @@ def build_engine(spec: ScenarioSpec, seed: "int | None" = None) -> Engine:
         elif role == "vn":
             identity = bytes.fromhex(opts["id"]) if "id" in opts else _default_identity(name)
             engine.add_vehicle(name, identity, opts["rsm"])
-        elif role == "fog":
-            engine.add_fog(name)
         else:
             raise ScenarioValidationError(f"unknown node role: {role}")
     for a, b, opts in spec.links:
@@ -411,22 +409,6 @@ node vn1 vn rsm=rsm1
 at 0 register vn=vn1
 adversary tamper kind=GK nth=0 offset=0 xor=1
 """
-
-FOG_FORWARDING = """
-seed 59
-node lea1 lea
-node rsm1 rsm sync_delay_ms=1
-node rsu1 rsu rsm=rsm1
-node fog1 fog
-node vn1 vn rsm=rsm1
-link vn1 rsu1 latency_ms=2
-link rsm1 fog1 latency_ms=3 secure
-link fog1 rsu1 latency_ms=3 secure
-at 0 register vn=vn1
-at 1000 handover vn=vn1 rsu=rsu1
-expect actor=vn1 event=session_key outcome=ok count=1
-"""
-
 
 TWO_DOMAIN_DEMO = """
 # registration, intra-domain handover, cross-domain handover, key rotation

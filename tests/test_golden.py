@@ -7,6 +7,8 @@ engine scheduling shows up here first.
 
 import hashlib
 
+import pytest
+
 from v2xauth.simnet import scenarios
 
 GOLDEN_REQ_LINE = (
@@ -39,3 +41,32 @@ def test_golden_field_widths():
     assert len(req_hex) // 2 == 104
     assert len(rep_hex) // 2 == 88
     assert len(ack_hex) // 2 == 20
+
+
+# SHA-256 of run_scenario(...).to_text() for every canned scenario: the
+# message lines and the event lines, including the authority's trace path.
+CANNED_TRANSCRIPT_SHA256 = {
+    "honest": "d1d45c366d0305469e18c9c55929ddf17c26fe193feb288174d136b41b0bfada",
+    "demo": "4de550649c2d0b02cd349771d2b01f35fc7448e79206384ae5f2cad654b3b92e",
+    "replay": "1507187fb3663b92409ef4000f080ccaf31aef68b930156d741c082b3b470772",
+    "tamper-req": "364a23af4704ed24c40f45d321fa34e6c6271989362864df4b01884dff99c8b7",
+    "tamper-rep": "9fca8da4b4954d6d7f5cb29dfc11b47103286686f49de3e930d884fb9e7382d9",
+    "tamper-ack": "a578810f00e879226229b0478b24855bb7dbc6f72284450e4acb5f4c5f374dd1",
+    "splice": "fc8bad9874829a8d98520d7a970e065009d5aa8c8c51eebfd997f24ce95b29e9",
+    "impersonation": "b9d04414c08f9591b1c588234fe5142474593781c8fc2823611f4d220467504f",
+    "cross-domain": "438953d7afab11588ac9be9a260361d135f0950f9c5dd3b105623d0936f078bd",
+    "cross-domain-early": "3156418d2a27a10094ca8f7b57bd59d1bd4182d3374f0641f5eb4922f4c36c1b",
+    "revocation": "83ebdd86138dafed14158773fd937c52bd566b8198d762b0582203092c5f2263",
+    "trace-audit": "c4150322518c28613d91b70031d98b4a8cf7908dccd69ef12f3313243d529fa2",
+    "bad-txid": "387390ff8c3ace4ef18c511187cf788f43cdb4554df348dbe901186e0d6ead08",
+}
+
+
+def test_every_canned_scenario_is_pinned():
+    assert set(CANNED_TRANSCRIPT_SHA256) == set(scenarios.canned_scenarios())
+
+
+@pytest.mark.parametrize("name", sorted(CANNED_TRANSCRIPT_SHA256))
+def test_canned_transcript_is_byte_identical(name):
+    transcript = scenarios.run_scenario(scenarios.canned_scenarios()[name])
+    assert hashlib.sha256(transcript.to_text().encode()).hexdigest() == CANNED_TRANSCRIPT_SHA256[name]

@@ -81,11 +81,6 @@ def test_unmet_expectation_raises_deadlock():
         scenarios.run_scenario(text)
 
 
-def test_fog_forwarding_pass_through():
-    transcript = scenarios.run_scenario(scenarios.FOG_FORWARDING)
-    assert transcript.count_events(actor="vn1", event="session_key", outcome="ok") == 1
-
-
 def test_identity_bytes_never_on_open_links():
     transcript = scenarios.run_scenario(scenarios.HONEST_SINGLE_DOMAIN)
     identity = b"vn1".ljust(16, b"\x00")
