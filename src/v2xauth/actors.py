@@ -26,6 +26,7 @@ State hygiene rules enforced here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .crypto import chameleon, curve, hashes, signatures, symmetric
@@ -39,6 +40,7 @@ from .wire import (
     RegistrationRequest,
     UpdateMsg,
     WireError,
+    request_replay_key,
     ts_delta,
     ts_wrap,
 )
@@ -344,6 +346,7 @@ class RoadsideUnit:
         self._sign_sk, self.sign_pk = signatures.keygen_sig(rng)
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self._replay_cache: dict[tuple, int] = {}  # (pid, t1) -> seen at
+        self._replay_order: deque = deque()  # (seen at, (pid, t1)), oldest first
         self.sessions: list[SessionContext] = []
 
     @property
@@ -361,19 +364,32 @@ class RoadsideUnit:
     def _record_seen(self, pid: bytes, t1: int, now: int) -> None:
         # only verified requests enter the cache: otherwise junk bearing a
         # sniffed (pID, T1) pair could lock the honest request out
-        self._replay_cache[(pid, ts_wrap(t1))] = now
+        cache, order = self._replay_cache, self._replay_order
         horizon = 2 * self.freshness_ms
-        if len(self._replay_cache) > 4096:
-            self._replay_cache = {k: v for k, v in self._replay_cache.items() if now - v <= horizon}
+        while order and now - order[0][0] > horizon:
+            seen_at, key = order.popleft()
+            # the cache may have been cleared, or the key re-recorded, since
+            if cache.get(key) == seen_at:
+                del cache[key]
+        key = (pid, ts_wrap(t1))
+        cache[key] = now
+        order.append((now, key))
 
     def handle_request(self, request, now: int) -> "tuple[AuthReply, SessionContext]":
+        # freshness and replay need only pID and T1, so bytes are checked
+        # for both before the decode pays for a square root
         if isinstance(request, (bytes, bytearray)):
-            request = AuthRequest.decode(bytes(request))
-        req_bytes = request.encode()
+            req_bytes = bytes(request)
+            pid, t1 = request_replay_key(req_bytes)
+        else:
+            req_bytes = request.encode()
+            pid, t1 = request.pid, request.t1
         try:
-            if abs(ts_delta(now, request.t1)) > self.freshness_ms:
+            if abs(ts_delta(now, t1)) > self.freshness_ms:
                 raise StaleTimestamp("request timestamp outside the freshness window")
-            self._check_replay(request.pid, request.t1)
+            self._check_replay(pid, t1)
+            if not isinstance(request, AuthRequest):
+                request = AuthRequest.decode(req_bytes)
             pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
             beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
             if ch_candidate is None:

@@ -32,6 +32,13 @@ return identical affine tuples, including ``None`` for the identity.
 The fallback is built from the same Jacobian formulas as the ladder and
 costs about 3 ms a call on a shared 2-core x86-64 host (Python 3.11),
 where libcrypto takes 0.1-0.2 ms.
+
+Decoding a 28-byte x-only point needs a field square root (``solve_y``).
+P - 1 = 2^96 * (2^128 - 1), the worst case for Tonelli-Shanks, so
+``sqrt_mod_p`` instead takes a table-driven discrete log in the 2^96
+subgroup: 12 tables of 256 powers plus one 256-entry dict, built at
+import in a few ms and holding about 0.2 MB. A root costs 0.17-0.26 ms
+on the same host, where Tonelli-Shanks took 2.1-2.3 ms.
 """
 
 from __future__ import annotations
@@ -410,37 +417,85 @@ else:
 # --- Field square roots and point encoding -----------------------------------
 
 
-def sqrt_mod_p(n: int):
-    """Tonelli-Shanks square root mod P, or None when n is a non-residue.
+# P - 1 = 2^96 * t with t = 2^128 - 1 odd. 11 is the smallest quadratic
+# non-residue, so g = 11^t generates the subgroup of order 2^96.
+_TWO_ADICITY = 96
+_ODD_PART = (P - 1) >> _TWO_ADICITY
+_DIGIT_BITS = 8
+_DIGITS = _TWO_ADICITY // _DIGIT_BITS
 
-    P = 1 mod 4, so the cheap exponent shortcut does not apply here.
+
+def _sqrt_tables():
+    """``(neg, dlog)``: ``neg[j][k] = g^(-k * 2^(8j))`` for 12 digit
+    positions j, and ``dlog`` maps ``g^(k * 2^88)`` (an element of order
+    dividing 256) to its digit k."""
+    base = pow(pow(11, _ODD_PART, P), -1, P)
+    neg = []
+    for _ in range(_DIGITS):
+        row = [1] * (1 << _DIGIT_BITS)
+        for k in range(1, len(row)):
+            row[k] = row[k - 1] * base % P
+        neg.append(row)
+        base = row[-1] * base % P  # base^256: the next digit position
+    # g^(-k * 2^88) = g^((256 - k) * 2^88), since g^(2^96) = 1
+    dlog = {v: -k % (1 << _DIGIT_BITS) for k, v in enumerate(neg[-1])}
+    return neg, dlog
+
+
+_SQRT_NEG, _SQRT_DLOG = _sqrt_tables()
+
+
+def sqrt_mod_p(n: int):
+    """Square root mod P, or None when n is a non-residue; 0 for n = 0.
+
+    P - 1 has 2-adic valuation 96, the worst case for Tonelli-Shanks,
+    so the root comes from a table-driven discrete log in the 2^96
+    subgroup (Bernstein, "Faster square roots in annoying finite
+    fields", 2001; Sarkar, ePrint 2020/1407). With g = 11^t:
+
+    * one exponentiation gives x = n^((t+1)/2) and u = n^t = g^e;
+    * the chain u^(2^(8i)), i = 0..11, costs 88 squarings in all;
+    * e is recovered 8 bits at a time, lowest digit first, from 12
+      tables of 256 powers g^(-k * 2^(8j)) and one 256-entry dict of
+      g^(k * 2^88) -> k, built at import (about 3,300 multiplications,
+      a few ms, about 0.2 MB);
+    * an odd lowest digit means n is a non-residue, since then
+      n^((P-1)/2) = g^(e * 2^95) = -1; otherwise x * g^(-e/2) squares
+      to n * u * g^(-e) = n.
+
+    Measured on a shared 2-core x86-64 host (Python 3.11): 0.17-0.26 ms
+    a call on a residue, where Tonelli-Shanks took 2.1-2.3 ms, and
+    0.12-0.22 ms on a non-residue, about what Euler's criterion alone
+    costs there. The run time depends on n; that is acceptable because
+    every input is a public wire value (an abscissa or a compressed
+    point).
     """
     n %= P
     if n == 0:
         return 0
-    if pow(n, (P - 1) // 2, P) != 1:
-        return None
-    # write P - 1 = t * 2^s with t odd
-    s = 96  # 2-adic valuation of P - 1 for this prime
-    t = (P - 1) >> s
-    # 11 is the smallest quadratic non-residue for this field
-    z = pow(11, t, P)
-    m = s
-    c = z
-    u = pow(n, t, P)
-    r = pow(n, (t + 1) // 2, P)
-    while u != 1:
-        d = u
-        i = 0
-        while d != 1:
-            d = d * d % P
-            i += 1
-        b = pow(c, 1 << (m - i - 1), P)
-        m = i
-        c = b * b % P
-        u = u * c % P
-        r = r * b % P
-    return r
+    x = pow(n, (_ODD_PART - 1) // 2, P)
+    u = x * x % P * n % P
+    x = x * n % P
+    chain = [u]
+    for _ in range(_DIGITS - 1):
+        chain.append(pow(chain[-1], 1 << _DIGIT_BITS, P))
+    neg = _SQRT_NEG
+    top = _DIGITS - 1
+    digits = []
+    for i in range(_DIGITS):
+        # (u * g^-(e mod 2^(8i)))^(2^(88-8i)) = g^(e_i * 2^88)
+        w = chain[top - i]
+        for j, d in enumerate(digits):
+            w = w * neg[top - i + j][d] % P
+        d = _SQRT_DLOG[w]
+        if not digits and d & 1:
+            return None
+        digits.append(d)
+    # 8-bit digits are bytes: e is even, so e/2 < 2^95 fits in 12 bytes
+    half = int.from_bytes(bytes(digits), "little") >> 1
+    for j, d in enumerate(half.to_bytes(_DIGITS, "little")):
+        x = x * neg[j][d] % P
+    return x
 
 
 def solve_y(x: int):

@@ -3,7 +3,8 @@ request loss ratio under offered load.
 
 These deliberately bypass the virtual-time engine: the numbers they
 produce are real CPU costs on the host. Request streams are pre-built
-so the verifier's cost is measured alone, and the freshness window is
+as wire bytes, so the verifier's cost is measured alone, from request
+bytes in to reply out, decode included. The freshness window is
 widened so timestamp policy does not interfere with throughput
 accounting.
 
@@ -58,8 +59,10 @@ def _percentile(values, q):
 def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
     """Per-phase timings for the four handover steps, in milliseconds.
 
-    The request-build phase excludes blinded-point precomputation: the
-    pool is filled ahead of time, as a deployed prover would.
+    The request-build phase ends with the 104 request bytes and excludes
+    blinded-point precomputation: the pool is filled ahead of time, as a
+    deployed prover would. ``rsu_verify`` starts from those bytes, so it
+    includes the decode.
     """
     lea, rsm, rsu, vehicles = _fixture(seed, fleet=1, freshness_ms=10**9)
     vn = vehicles[0]
@@ -70,8 +73,9 @@ def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
         now += 2
         t0 = time.perf_counter_ns()
         request, ctx = vn.start_handover(rsu.sign_pk, now)
+        req_bytes = request.encode()
         t1 = time.perf_counter_ns()
-        reply, rsu_ctx = rsu.handle_request(request, now)
+        reply, rsu_ctx = rsu.handle_request(req_bytes, now)
         t2 = time.perf_counter_ns()
         ack, _ = vn.handle_reply(ctx, reply, now)
         t3 = time.perf_counter_ns()
@@ -109,7 +113,7 @@ def bench_batch_scaling(batch_sizes=(1, 10, 100, 1000), seed: int = 0xBF):
     for i in range(total):
         vn = vehicles[i % len(vehicles)]
         request, _ = vn.start_handover(rsu.sign_pk, now=1000 + i)
-        requests.append((request, 1000 + i))
+        requests.append((request.encode(), 1000 + i))
     rows = []
     for n in batch_sizes:
         batch = requests[:n]
@@ -146,7 +150,7 @@ def bench_loss_ratio(config: BenchConfig, seed: int = 0xC0):
         arrival = i * spacing_ms
         vn = vehicles[i % len(vehicles)]
         request, _ = vn.start_handover(rsu.sign_pk, now=int(arrival))
-        stream.append((arrival, request))
+        stream.append((arrival, request.encode()))
 
     # calibration for the capacity estimate; the median, because the first
     # calls cost two to three times the rest

@@ -88,6 +88,17 @@ def _decode_scalar(data: bytes) -> int:
     return v
 
 
+def request_replay_key(data: bytes) -> "tuple[bytes, int]":
+    """(pID, T1) of a request buffer, read without decoding the point.
+
+    Only the length is checked, so a verifier can reject stale and
+    replayed requests before it pays for the square root.
+    """
+    if len(data) != REQ_LEN:
+        raise WrongLength(f"request must be {REQ_LEN} bytes, got {len(data)}")
+    return data[:PID_LEN], int.from_bytes(data[REQ_LEN - TS_LEN :], "big")
+
+
 @dataclass(frozen=True)
 class AuthRequest:
     """Handover request: (pID, m, A, S1, T1), 104 bytes."""

@@ -173,6 +173,82 @@ def test_replayed_request_detected():
         rsus[0].handle_request(request, now=2002)
 
 
+def _off_curve_x(rng):
+    while True:
+        x = rng.randrange(curve.P)
+        if curve.solve_y(x) is None:
+            return x.to_bytes(28, "big")
+
+
+def test_stale_and_replayed_bytes_rejected_before_the_point_decode():
+    chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x100)
+    rsu = rsus[0]
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    request, _ = vn.start_handover(rsu.sign_pk, now=2000)
+    raw = request.encode()
+    junk = raw[:44] + _off_curve_x(random.Random(0xA7)) + raw[72:]
+    late = 2000 + actors.FRESHNESS_WINDOW_MS + 1
+    # stale and off the curve: the freshness check answers first
+    with pytest.raises(actors.StaleTimestamp):
+        rsu.handle_request(junk, now=late)
+    with pytest.raises(wire.WrongLength):
+        rsu.handle_request(junk[:-1], now=late)
+    with pytest.raises(wire.OffCurvePoint):
+        rsu.handle_request(junk, now=2000)
+    _, ctx = rsu.handle_request(raw, now=2000)
+    assert ctx.req_bytes == raw
+    # replayed (pID, T1) with an off-curve point: the replay check answers
+    with pytest.raises(actors.ReplayDetected):
+        rsu.handle_request(junk, now=2001)
+
+
+def test_replay_cache_holds_exactly_the_keys_inside_twice_the_window():
+    chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x200)
+    rsu = rsus[0]
+    horizon = 2 * rsu.freshness_ms
+    per_ms = 8  # about 8,000 live keys at once
+    seen = []  # (seen at, pid), in insertion order
+    oldest_live = 0
+    peak = 0
+    for now in range(3 * horizon):
+        for k in range(per_ms):
+            pid = (now * per_ms + k).to_bytes(16, "big")
+            rsu._record_seen(pid, now, now)
+            seen.append((now, pid))
+        while now - seen[oldest_live][0] > horizon:
+            oldest_live += 1
+        assert len(rsu._replay_cache) == len(seen) - oldest_live
+        peak = max(peak, len(rsu._replay_cache))
+    assert peak > 4096
+    for seen_at, pid in seen:
+        if now - seen_at <= horizon:
+            with pytest.raises(actors.ReplayDetected):
+                rsu._check_replay(pid, seen_at)
+        else:
+            rsu._check_replay(pid, seen_at)
+
+
+def test_replay_cache_survives_being_cleared():
+    # the wall-clock benchmarks clear the cache between batches and then
+    # record the same keys again
+    chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x300)
+    rsu = rsus[0]
+    horizon = 2 * rsu.freshness_ms
+    first, second = b"\x01" * 16, b"\x02" * 16
+    rsu._record_seen(first, 0, 0)
+    rsu._record_seen(second, 0, 0)
+    rsu._replay_cache.clear()
+    rsu._record_seen(first, 0, horizon)
+    rsu._record_seen(b"\x03" * 16, horizon + 1, horizon + 1)
+    # the entry recorded before the clear has expired; the later one has not
+    with pytest.raises(actors.ReplayDetected):
+        rsu._check_replay(first, 0)
+    rsu._check_replay(second, 0)
+    rsu._record_seen(b"\x04" * 16, 2 * horizon + 1, 2 * horizon + 1)
+    rsu._check_replay(first, 0)
+    assert len(rsu._replay_cache) == 2
+
+
 def test_single_byte_flips_never_authenticate():
     chain, lea, rsms, rsus, vn = make_domain(0xA8)
     actors.register_vehicle(vn, rsms[0], lea, now=0)

@@ -9,6 +9,10 @@ validates.
 The oracle checks run on each, and a differential test holds the native
 path to the reference. Reference cases always run; native cases skip
 only when the library did not load.
+
+``sqrt_mod_p`` is a table-driven discrete log; the Tonelli-Shanks square
+root it replaced lives here as its oracle, with Euler's criterion as the
+residuosity verdict.
 """
 
 import ctypes
@@ -50,6 +54,39 @@ def oracle_mul(pt, k):
         if (k >> i) & 1:
             acc = oracle_add(acc, pt)
     return acc
+
+
+def oracle_is_residue(n):
+    """Euler's criterion; 0 counts as a square."""
+    n %= P
+    return n == 0 or pow(n, (P - 1) // 2, P) == 1
+
+
+def oracle_sqrt(n):
+    """Tonelli-Shanks square root mod P, or None for a non-residue."""
+    n %= P
+    if n == 0:
+        return 0
+    if not oracle_is_residue(n):
+        return None
+    s = 96  # P - 1 = t * 2^s with t odd
+    t = (P - 1) >> s
+    c = pow(11, t, P)  # 11 is the smallest non-residue
+    m = s
+    u = pow(n, t, P)
+    r = pow(n, (t + 1) // 2, P)
+    while u != 1:
+        d = u
+        i = 0
+        while d != 1:
+            d = d * d % P
+            i += 1
+        b = pow(c, 1 << (m - i - 1), P)
+        m = i
+        c = b * b % P
+        u = u * c % P
+        r = r * b % P
+    return r
 
 
 def test_generator_on_curve_and_order():
@@ -281,6 +318,80 @@ def test_solve_y_even_convention():
             assert pt[1] % 2 == 0
             found += 1
     assert found > 0
+
+
+def _check_root(n, root):
+    """sqrt_mod_p's result for n against the oracle."""
+    if not oracle_is_residue(n):
+        assert root is None, n
+    else:
+        assert root is not None and 0 <= root < P, n
+        assert root * root % P == n % P, n
+
+
+def test_sqrt_mod_p_squares_back_on_seeded_residues():
+    rng = random.Random(0xEC + 12)
+    for _ in range(10_000):
+        n = pow(rng.randrange(P), 2, P)
+        root = curve.sqrt_mod_p(n)
+        assert root is not None and root * root % P == n, n
+
+
+def test_sqrt_mod_p_rejects_exactly_the_oracle_non_residues():
+    rng = random.Random(0xEC + 13)
+    residues = 0
+    for _ in range(10_000):
+        n = rng.randrange(P)
+        root = curve.sqrt_mod_p(n)
+        _check_root(n, root)
+        residues += root is not None
+    assert 4_500 < residues < 5_500
+
+
+def test_sqrt_mod_p_matches_tonelli_shanks_up_to_sign():
+    rng = random.Random(0xEC + 14)
+    for _ in range(200):
+        n = rng.randrange(P)
+        expected = oracle_sqrt(n)
+        root = curve.sqrt_mod_p(n)
+        if expected is None:
+            assert root is None, n
+        else:
+            assert root in (expected, P - expected), n
+
+
+def test_sqrt_mod_p_edge_inputs():
+    # 0, 1, the non-residue generator 11, -1 (a square, as P = 1 mod 4),
+    # and unreduced inputs
+    assert curve.sqrt_mod_p(0) == 0
+    assert curve.sqrt_mod_p(P) == 0
+    for n in (0, 1, 11, P - 1, P, P + 4, 2 * P + 9, 4, 9, 3 * P - 1):
+        root = curve.sqrt_mod_p(n)
+        _check_root(n, root)
+        expected = oracle_sqrt(n)
+        assert (root is None) == (expected is None), n
+        if root is not None:
+            assert root in (expected, (P - expected) % P), n
+    assert curve.sqrt_mod_p(11) is None
+    assert curve.sqrt_mod_p(P - 1) is not None
+
+
+def test_solve_y_even_root_matches_oracle():
+    rng = random.Random(0xEC + 15)
+    found = 0
+    for _ in range(200):
+        x = rng.randrange(P)
+        expected = oracle_sqrt((x * x * x + curve.A * x + curve.B) % P)
+        pt = curve.solve_y(x)
+        if expected is None:
+            assert pt is None, x
+            continue
+        even = expected if expected % 2 == 0 else P - expected
+        assert pt == (x, even), x
+        assert curve.point_decompress(bytes([2]) + x.to_bytes(28, "big")) == pt
+        assert curve.point_decompress(bytes([3]) + x.to_bytes(28, "big")) == (x, P - even)
+        found += 1
+    assert found > 50
 
 
 def test_scalar_bytes_round_trip():
