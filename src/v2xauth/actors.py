@@ -20,6 +20,9 @@ State hygiene rules enforced here:
   successful one always replaces both;
 * the roadside replay cache retains (pID, T1) pairs for at least twice
   the freshness window;
+* a roadside unit holds one session per commitment, the latest one
+  confirmed: the vehicle keeps only its latest session per RSU, so an
+  update minted for an older one could never be applied;
 * session secrets are dropped on close; real zeroization is out of
   reach for Python bytes, so ``close`` just unlinks aggressively.
 """
@@ -347,7 +350,7 @@ class RoadsideUnit:
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self._replay_cache: dict[tuple, int] = {}  # (pid, t1) -> seen at
         self._replay_order: deque = deque()  # (seen at, (pid, t1)), oldest first
-        self.sessions: list[SessionContext] = []
+        self.sessions: dict[tuple, SessionContext] = {}  # ch -> latest confirmed session
 
     @property
     def group_secret(self) -> GroupSecret:
@@ -426,7 +429,6 @@ class RoadsideUnit:
                 rep_bytes=reply.encode(),
                 ch=ch_candidate,
             )
-            self.sessions.append(ctx)
             _emit(self.event_sink, now, self.node_id, "verify_request", "ok")
             return reply, ctx
         except ProtocolError as exc:
@@ -441,6 +443,7 @@ class RoadsideUnit:
             _emit(self.event_sink, now, self.node_id, "confirm", "BadAck")
             raise BadAck("acknowledgement does not match the transcript")
         ctx.established = True
+        self.sessions[ctx.ch] = ctx
         _emit(self.event_sink, now, self.node_id, "confirm", "ok")
         return ctx
 
@@ -450,15 +453,15 @@ class RoadsideUnit:
         return MisbehaviorReport(rsu_id=self.node_id, sig_rt=sig_rt, req_bytes=req_bytes)
 
     def rotate_sessions(self, now: int) -> "list[tuple[SessionContext, UpdateMsg]]":
-        """Mint fresh credentials for every established, unrevoked session
-        under the (already adopted) new group secret."""
+        """Mint fresh credentials for every held session under the (already
+        adopted) new group secret; sessions of revoked commitments are
+        dropped instead."""
         gs = self.group_secret
         self.view.sync_to(now)
         updates = []
-        for ctx in self.sessions:
-            if not ctx.established or ctx.ch is None:
-                continue
-            if self.view.is_revoked(ctx.ch):
+        for ch, ctx in list(self.sessions.items()):
+            if self.view.is_revoked(ch):
+                del self.sessions[ch]
                 continue
             pid_new, d_new = self.rsm.mint_pseudonym()
             s_upd = symmetric.sym_encrypt(ctx.ks, pid_new + d_new, _upd_context(gs.epoch))

@@ -21,12 +21,15 @@ Two multiplication routines are exposed on purpose:
   ever given values that travel in cleartext anyway (verification
   inputs).
 
-``msm2`` is the one routine with a native backend.  At import the
+``msm2`` is the one curve routine with a native backend.  At import the
 module opens the system OpenSSL 3 ``libcrypto.so.3`` through ``ctypes``
-and, when the library loads, provides secp224r1 and reproduces the
-generator, binds ``msm2`` to ``EC_POINT_mul``.  Otherwise ``msm2`` is
-the pure-Python window-NAF loop ``_msm2_py``, which also stays the
-reference that the tests hold the native path to.  ``BACKEND`` names
+once, types every function the package calls from one signature table,
+and keeps the handle as ``LIBCRYPTO`` (``None`` when it does not load);
+``symmetric`` runs its pseudonym AES block on the same handle.  When the
+library provides secp224r1 and reproduces the generator, ``msm2`` is
+bound to ``EC_POINT_mul``.  Otherwise ``msm2`` is the pure-Python
+window-NAF loop ``_msm2_py``, which also stays the reference that the
+tests hold the native path to.  ``BACKEND`` names
 the path in use (``"libcrypto"`` or ``"pure-python"``).  Both paths
 return identical affine tuples, including ``None`` for the identity.
 The fallback is built from the same Jacobian formulas as the ladder and
@@ -306,7 +309,7 @@ def _msm2_py(m: int, gamma: int, a_pt):
     return _jac_to_affine(*acc)
 
 
-# --- libcrypto backend for msm2 ------------------------------------------------
+# --- libcrypto: the one native handle, used by msm2 and the pseudonym cipher ---
 
 _NID_SECP224R1 = 713
 _VP = ctypes.c_void_p
@@ -327,11 +330,18 @@ _LIBCRYPTO_SIGNATURES = (
     ("EC_POINT_is_at_infinity", _INT, (_VP, _VP)),
     ("EC_POINT_mul", _INT, (_VP, _VP, _VP, _VP, _VP, _VP)),
     ("ERR_clear_error", None, ()),
+    # symmetric.pid_encrypt / pid_decrypt: one AES-128-ECB block
+    ("EVP_CIPHER_CTX_new", _VP, ()),
+    ("EVP_CIPHER_CTX_free", None, (_VP,)),
+    ("EVP_aes_128_ecb", _VP, ()),
+    ("EVP_CipherInit_ex", _INT, (_VP, _VP, _VP, ctypes.c_char_p, ctypes.c_char_p, _INT)),
+    ("EVP_CIPHER_CTX_set_padding", _INT, (_VP, _INT)),
+    ("EVP_CipherUpdate", _INT, (_VP, _VP, ctypes.POINTER(_INT), ctypes.c_char_p, _INT)),
 )
 
 
 def _load_libcrypto():
-    """``(lib, group)`` for secp224r1 in libcrypto.so.3, or None if unavailable."""
+    """libcrypto.so.3 with every function above typed, or None if unavailable."""
     try:
         lib = ctypes.CDLL("libcrypto.so.3")
         for name, restype, argtypes in _LIBCRYPTO_SIGNATURES:
@@ -340,10 +350,15 @@ def _load_libcrypto():
             fn.argtypes = argtypes
     except (OSError, AttributeError):
         return None
-    group = lib.EC_GROUP_new_by_curve_name(_NID_SECP224R1)
-    if not group:
+    return lib
+
+
+def _secp224r1(lib):
+    """``(lib, group)`` for secp224r1, or None if the library lacks it."""
+    if lib is None:
         return None
-    return lib, group
+    group = lib.EC_GROUP_new_by_curve_name(_NID_SECP224R1)
+    return (lib, group) if group else None
 
 
 def _msm2_libcrypto(m: int, gamma: int, a_pt):
@@ -402,7 +417,8 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
         lib.BN_CTX_free(ctx)
 
 
-_LIBCRYPTO = _load_libcrypto()
+LIBCRYPTO = _load_libcrypto()  # the handle; symmetric reuses it
+_LIBCRYPTO = _secp224r1(LIBCRYPTO)
 if _LIBCRYPTO is not None and _msm2_libcrypto(1, 0, None) != GEN:
     # a library whose secp224r1 disagrees with the parameters above is not used
     _LIBCRYPTO = None

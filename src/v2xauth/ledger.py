@@ -11,7 +11,10 @@ in one region, authenticate in another after sync) meaningful.
 Write access is capability-gated: registration entries require the
 authority's writer token, revocation entries a region server's.
 Expiry is enforced at lookup: a registration past its T_Exp no longer
-counts as live, and its commitment may be registered again.
+counts as live, and its commitment may be registered again. The duplicate
+check is one lookup: the ledger indexes, per compressed commitment, the
+registration with the greatest T_Exp, which is live at ``now`` exactly
+when some registration of that commitment is.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ class Ledger:
     def __init__(self):
         self.entries: list[LedgerTx] = []
         self._by_txid: dict[bytes, LedgerTx] = {}
+        self._latest_expiry: dict[bytes, LedgerTx] = {}  # ch bytes -> registration with the greatest T_Exp
         self._tokens: set[WriterToken] = set()
 
     def mint_token(self, role: str) -> WriterToken:
@@ -99,19 +103,30 @@ class Ledger:
         return token
 
     def _live_registration(self, ch_key: bytes, now: int):
-        for tx in self.entries:
-            if isinstance(tx.payload, Registration) and point_compress(tx.payload.ch) == ch_key:
-                if tx.payload.t_exp > now:
-                    return tx
-        return None
+        """A registration of this commitment still live at ``now``, or None."""
+        tx = self._latest_expiry.get(ch_key)
+        return tx if tx is not None and tx.payload.t_exp > now else None
+
+    def _commit(self, tx: LedgerTx, ch_key: "bytes | None" = None) -> None:
+        """Add ``tx`` at the next height; every insert into the log comes here."""
+        self.entries.append(tx)
+        self._by_txid[tx.txid] = tx
+        if isinstance(tx.payload, Registration):
+            if ch_key is None:
+                ch_key = point_compress(tx.payload.ch)
+            held = self._latest_expiry.get(ch_key)
+            if held is None or tx.payload.t_exp > held.payload.t_exp:
+                self._latest_expiry[ch_key] = tx
 
     def append(self, payload, token: WriterToken, now: int) -> bytes:
         if token not in self._tokens:
             raise UnauthorizedWriter("unknown writer token")
+        ch_key = None
         if isinstance(payload, Registration):
             if token.role != "registration":
                 raise UnauthorizedWriter("token cannot write registrations")
-            if self._live_registration(point_compress(payload.ch), now) is not None:
+            ch_key = point_compress(payload.ch)
+            if self._live_registration(ch_key, now) is not None:
                 raise DuplicateRegistration("commitment already registered and unexpired")
         elif isinstance(payload, Revocation):
             if token.role != "revocation":
@@ -120,8 +135,7 @@ class Ledger:
             raise LedgerError("unknown payload type")
         height = len(self.entries)
         tx = LedgerTx(txid=compute_txid(payload, height), payload=payload, height=height, timestamp=now)
-        self.entries.append(tx)
-        self._by_txid[tx.txid] = tx
+        self._commit(tx, ch_key)
         return tx.txid
 
     def get(self, txid: bytes):
@@ -201,6 +215,5 @@ def snapshot_load(text: str) -> Ledger:
         )
         if tx.txid != bytes.fromhex(txid_hex):
             raise LedgerError("snapshot txid does not match content")
-        ledger.entries.append(tx)
-        ledger._by_txid[tx.txid] = tx
+        ledger._commit(tx)
     return ledger

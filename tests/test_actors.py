@@ -412,6 +412,23 @@ def test_rotation_revoked_vehicle_locked_out():
     assert vn_ctx.ks == rsu_ctx.ks
 
 
+def test_rsu_holds_the_latest_confirmed_session_per_commitment():
+    chain, lea, rsms, rsus, vn = make_domain(0xB1)
+    rsu = rsus[0]
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    ch = vn.credential.commitment
+    actors.run_handover(vn, rsu, now=2000)
+    _, latest = actors.run_handover(vn, rsu, now=2100)
+    request, _ = vn.start_handover(rsu.sign_pk, now=2200)
+    rsu.handle_request(request, now=2200)  # answered, never confirmed
+    assert list(rsu.sessions) == [ch] and rsu.sessions[ch] is latest
+
+    _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=3000)
+    assert [ctx for _, ctx, _ in updates] == [latest]
+    _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[ch], now=4000)
+    assert updates == [] and rsu.sessions == {}
+
+
 def test_rotation_missed_update_fails_until_reregistration():
     chain, lea, rsms, rsus, vn = make_domain(0xB0)
     actors.register_vehicle(vn, rsms[0], lea, now=0)

@@ -34,6 +34,18 @@ def test_duplicate_live_registration_rejected():
         chain.append(lg.Registration(sig=rng.randbytes(56), ch=payload.ch, t_exp=10_000), token, now=1)
 
 
+def test_live_duplicate_rejected_after_snapshot_restore():
+    rng = random.Random(0x8A)
+    chain = lg.Ledger()
+    payload = _reg(rng)
+    chain.append(payload, chain.mint_token("registration"), now=0)
+    restored = lg.snapshot_load(lg.snapshot_dump(chain))
+    token = restored.mint_token("registration")
+    with pytest.raises(lg.DuplicateRegistration):
+        restored.append(lg.Registration(sig=rng.randbytes(56), ch=payload.ch, t_exp=20_000), token, now=1)
+    restored.append(lg.Registration(sig=rng.randbytes(56), ch=payload.ch, t_exp=20_000), token, now=10_000)
+
+
 def test_expired_registration_can_be_replaced():
     rng = random.Random(0x82)
     chain = lg.Ledger()

@@ -1,0 +1,188 @@
+"""Stateful checks of the ledger's duplicate index and the RSU's session
+table, driven by Hypothesis rule-based state machines.
+
+The ledger machine appends registrations and revocations at times that
+may go backwards and round-trips the log through a snapshot; the full
+scan the ledger used before it kept an index is the oracle. The RSU
+machine runs handovers (confirmed or not), revocations and rotations on
+one roadside unit and holds its session table to a model of the latest
+confirmed session per commitment.
+"""
+
+import copy
+import functools
+import random
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from v2xauth import actors
+from v2xauth import ledger as lg
+from v2xauth.crypto import curve
+
+# a few commitments, so that the same one is registered again and again
+POINTS = [curve.GEN]
+for _ in range(3):
+    POINTS.append(curve.point_add(POINTS[-1], curve.GEN))
+KEYS = [curve.point_compress(pt) for pt in POINTS]
+TIMES = st.integers(min_value=0, max_value=120)
+
+
+def oracle_live_registration(entries, ch_key: bytes, now: int):
+    """The full scan: the first registration of ``ch_key`` live at ``now``."""
+    for tx in entries:
+        if isinstance(tx.payload, lg.Registration) and curve.point_compress(tx.payload.ch) == ch_key:
+            if tx.payload.t_exp > now:
+                return tx
+    return None
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.rng = random.Random(0x5EED)
+        self._adopt(lg.Ledger())
+
+    def _adopt(self, ledger):
+        self.ledger = ledger
+        self.reg_token = ledger.mint_token("registration")
+        self.rev_token = ledger.mint_token("revocation")
+
+    @rule(i=st.integers(0, len(POINTS) - 1), now=TIMES, t_exp=TIMES)
+    def register(self, i, now, t_exp):
+        live = oracle_live_registration(self.ledger.entries, KEYS[i], now) is not None
+        payload = lg.Registration(sig=self.rng.randbytes(56), ch=POINTS[i], t_exp=t_exp)
+        height = self.ledger.height()
+        if live:
+            with pytest.raises(lg.DuplicateRegistration):
+                self.ledger.append(payload, self.reg_token, now)
+            assert self.ledger.height() == height
+        else:
+            txid = self.ledger.append(payload, self.reg_token, now)
+            assert self.ledger.get(txid).payload == payload
+
+    @rule(i=st.integers(0, len(POINTS) - 1), now=TIMES)
+    def revoke(self, i, now):
+        self.ledger.append(lg.Revocation(ch=POINTS[i]), self.rev_token, now)
+
+    @rule(now=TIMES)
+    def snapshot_round_trip(self, now):
+        before = [tx.txid for tx in self.ledger.entries]
+        self._adopt(lg.snapshot_load(lg.snapshot_dump(self.ledger)))
+        assert [tx.txid for tx in self.ledger.entries] == before
+        for i, key in enumerate(KEYS):
+            if oracle_live_registration(self.ledger.entries, key, now) is not None:
+                payload = lg.Registration(sig=bytes(56), ch=POINTS[i], t_exp=now + 1)
+                with pytest.raises(lg.DuplicateRegistration):
+                    self.ledger.append(payload, self.reg_token, now)
+        assert self.ledger.height() == len(before)
+
+    @invariant()
+    def index_agrees_with_the_scan(self):
+        for key in KEYS:
+            for now in range(0, 122, 11):
+                expected = oracle_live_registration(self.ledger.entries, key, now) is not None
+                assert (self.ledger._live_registration(key, now) is not None) == expected
+
+
+FLEET = 3
+
+
+@functools.lru_cache(maxsize=1)
+def _registered_fleet():
+    """One registered fleet, built once; every example works on a copy."""
+    master = random.Random(0x5EEE)
+    lea = actors.Authority(random.Random(master.random()), lg.Ledger())
+    rsm = actors.RegionManager(lea, random.Random(master.random()), "rsm1")
+    rsu = actors.RoadsideUnit(rsm, random.Random(master.random()), "rsu1")
+    fleet = []
+    for i in range(FLEET):
+        vn = actors.Vehicle(f"VIN-{i:012d}".encode(), random.Random(master.random()), f"vn{i}")
+        actors.register_vehicle(vn, rsm, lea, now=0)
+        fleet.append(vn)
+    return lea, rsm, rsu, fleet
+
+
+class RsuSessionMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.lea, self.rsm, self.rsu, self.fleet = copy.deepcopy(_registered_fleet())
+        self.now = 1000
+        self.confirmed: set = set()  # every commitment ever confirmed
+        self.held: dict = {}  # model of rsu.sessions: ch -> latest confirmed ctx
+        self.revoked: set = set()
+        self.stranded: set = set()  # vehicles left on a group secret the RSU no longer holds
+
+    def _tick(self):
+        self.now += 10
+        return self.now
+
+    @rule(v=st.integers(0, FLEET - 1), confirm=st.booleans())
+    def handover(self, v, confirm):
+        vn = self.fleet[v]
+        ch = vn.credential.commitment
+        if not vn.credential.pool:
+            vn.refill_pool()
+        now = self._tick()
+        request, vn_ctx = vn.start_handover(self.rsu.sign_pk, now)
+        if v in self.stranded:
+            with pytest.raises(actors.UnknownCredential):
+                self.rsu.handle_request(request.encode(), now)
+            return
+        if ch in self.revoked:
+            with pytest.raises(actors.RevokedCredential):
+                self.rsu.handle_request(request.encode(), now)
+            return
+        reply, rsu_ctx = self.rsu.handle_request(request.encode(), now)
+        ack, ks = vn.handle_reply(vn_ctx, reply.encode(), now)
+        if confirm:
+            self.rsu.handle_ack(rsu_ctx, ack.encode(), now)
+            vn.sessions[self.rsu.node_id] = vn_ctx
+            self.confirmed.add(ch)
+            self.held[ch] = rsu_ctx
+            assert rsu_ctx.ks == ks
+
+    @rule(v=st.integers(0, FLEET - 1))
+    def revoke(self, v):
+        ch = self.fleet[v].credential.commitment
+        if ch not in self.revoked:
+            self.rsm.revoke(ch, self._tick())
+            self.revoked.add(ch)
+
+    @rule()
+    def rotate(self):
+        now = self._tick()
+        expected = {ch: ctx for ch, ctx in self.held.items() if ch not in self.revoked}
+        epoch, updates = actors.rotate_group_key(self.lea, [self.rsm], [self.rsu], [], now)
+        minted = [ctx.ch for _, ctx, _ in updates]
+        assert len(minted) == len(set(minted)) == len(expected)
+        assert all(expected[ctx.ch] is ctx for _, ctx, _ in updates)
+        self.held = expected
+        update_for = {ctx.ch: upd for _, ctx, upd in updates}
+        for v, vn in enumerate(self.fleet):
+            upd = update_for.get(vn.credential.commitment)
+            if upd is None:
+                self.stranded.add(v)
+            elif v not in self.stranded:
+                vn.apply_update(upd, vn.sessions[self.rsu.node_id].ks, epoch, now)
+
+    @invariant()
+    def sessions_match_the_model(self):
+        assert len(self.rsu.sessions) <= len(self.confirmed)
+        assert self.rsu.sessions.keys() == self.held.keys()
+        for ch, ctx in self.rsu.sessions.items():
+            assert ctx is self.held[ch] and ctx.established and ctx.ch == ch
+
+
+TestLedgerMachine = LedgerMachine.TestCase
+TestLedgerMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+TestRsuSessionMachine = RsuSessionMachine.TestCase
+TestRsuSessionMachine.settings = settings(
+    max_examples=25,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)

@@ -1,10 +1,17 @@
+import importlib.util
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2xauth.crypto import symmetric
+from v2xauth.crypto import curve, symmetric
+
+SRC = Path(symmetric.__file__).resolve().parents[2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,3 +76,61 @@ def test_pid_rejects_wrong_width():
         symmetric.pid_encrypt(1, b"short")
     with pytest.raises(ValueError):
         symmetric.pid_decrypt(1, bytes(17))
+
+
+def _cryptography_block(key, block, encrypt):
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    cipher = Cipher(algorithms.AES(key), modes.ECB())
+    op = cipher.encryptor() if encrypt else cipher.decryptor()
+    return op.update(block) + op.finalize()
+
+
+def test_pid_cipher_matches_cryptography_on_random_blocks():
+    rng = random.Random(0x55)
+    for _ in range(10_000):
+        b = rng.randrange(1, 2**224)
+        block = rng.randbytes(16)
+        key = symmetric.pid_cipher_key(b)
+        pid = symmetric.pid_encrypt(b, block)
+        assert pid == _cryptography_block(key, block, True)
+        assert symmetric.pid_decrypt(b, block) == _cryptography_block(key, block, False)
+        assert symmetric.pid_decrypt(b, pid) == block
+
+
+def _fresh_symmetric(monkeypatch):
+    name = "v2xauth.crypto._symmetric_fresh_copy"
+    spec = importlib.util.spec_from_file_location(name, symmetric.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pid_cipher_uses_libcrypto_when_loaded():
+    if curve.LIBCRYPTO is None:
+        assert symmetric._aes_block is symmetric._aes_block_cryptography
+    else:
+        assert symmetric._aes_block is symmetric._aes_block_libcrypto
+
+
+def test_pid_cipher_falls_back_to_cryptography_without_libcrypto(monkeypatch):
+    monkeypatch.setattr(curve, "LIBCRYPTO", None)
+    isolated = _fresh_symmetric(monkeypatch)
+    assert isolated._aes_block is isolated._aes_block_cryptography
+    rng = random.Random(0x56)
+    for _ in range(50):
+        b = rng.randrange(1, 2**224)
+        pd = rng.randbytes(16)
+        pid = isolated.pid_encrypt(b, pd)
+        assert pid == symmetric.pid_encrypt(b, pd)
+        assert isolated.pid_decrypt(b, pid) == pd
+
+
+@pytest.mark.skipif(curve.LIBCRYPTO is None, reason="libcrypto.so.3 did not load")
+def test_import_with_libcrypto_leaves_cryptography_unloaded():
+    code = "import sys, v2xauth.actors; print('cryptography' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
