@@ -10,9 +10,11 @@ every handover without ever showing a linkable value twice.
 
 Every actor owns its mutable state and a private RNG stream; methods
 take the current harness time explicitly. Nothing here does I/O: the
-network simulation (or a direct-call test) moves the returned messages
-around. Rejections are typed exceptions; an honest peer never swallows
-one silently.
+network simulation (or a direct-call test) moves the messages around.
+The handover handlers take wire bytes only, so every verdict goes
+through the total decoders in ``wire``; builders return message objects.
+Rejections are typed exceptions; an honest peer never swallows one
+silently.
 
 State hygiene rules enforced here:
 
@@ -143,19 +145,18 @@ class ChameleonCredential:
 class SessionContext:
     t1: int = 0
     beta_own: int = 0
-    beta_peer: int = 0
     m_secret: bytes = b""
     ks: bytes = b""
     req_bytes: bytes = b""
     rep_bytes: bytes = b""
     # roadside bookkeeping
     ch: "tuple[int, int] | None" = None
+    t_exp: int = 0  # the commitment's registration expiry
     established: bool = False
     used_inline_point: bool = False
 
     def close(self) -> None:
         self.beta_own = 0
-        self.beta_peer = 0
         self.m_secret = b""
         self.ks = b""
 
@@ -378,21 +379,15 @@ class RoadsideUnit:
         cache[key] = now
         order.append((now, key))
 
-    def handle_request(self, request, now: int) -> "tuple[AuthReply, SessionContext]":
-        # freshness and replay need only pID and T1, so bytes are checked
+    def handle_request(self, req_bytes: bytes, now: int) -> "tuple[AuthReply, SessionContext]":
+        # freshness and replay need only pID and T1, so the bytes are checked
         # for both before the decode pays for a square root
-        if isinstance(request, (bytes, bytearray)):
-            req_bytes = bytes(request)
-            pid, t1 = request_replay_key(req_bytes)
-        else:
-            req_bytes = request.encode()
-            pid, t1 = request.pid, request.t1
+        pid, t1 = request_replay_key(req_bytes)
         try:
             if abs(ts_delta(now, t1)) > self.freshness_ms:
                 raise StaleTimestamp("request timestamp outside the freshness window")
             self._check_replay(pid, t1)
-            if not isinstance(request, AuthRequest):
-                request = AuthRequest.decode(req_bytes)
+            request = AuthRequest.decode(req_bytes)
             pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
             beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
             if ch_candidate is None:
@@ -422,12 +417,12 @@ class RoadsideUnit:
             ctx = SessionContext(
                 t1=request.t1,
                 beta_own=beta_rsu,
-                beta_peer=beta_star,
                 m_secret=m_star,
                 ks=ks,
                 req_bytes=req_bytes,
                 rep_bytes=reply.encode(),
                 ch=ch_candidate,
+                t_exp=tx.payload.t_exp,
             )
             _emit(self.event_sink, now, self.node_id, "verify_request", "ok")
             return reply, ctx
@@ -435,9 +430,8 @@ class RoadsideUnit:
             _emit(self.event_sink, now, self.node_id, "verify_request", type(exc).__name__)
             raise
 
-    def handle_ack(self, ctx: SessionContext, ack, now: int) -> SessionContext:
-        if isinstance(ack, (bytes, bytearray)):
-            ack = AuthAck.decode(bytes(ack))
+    def handle_ack(self, ctx: SessionContext, ack_bytes: bytes, now: int) -> SessionContext:
+        ack = AuthAck.decode(ack_bytes)
         expected = hashes.h6(ctx.m_secret, ctx.ks, ctx.req_bytes, ctx.rep_bytes)
         if ack.ack != expected:
             _emit(self.event_sink, now, self.node_id, "confirm", "BadAck")
@@ -454,13 +448,13 @@ class RoadsideUnit:
 
     def rotate_sessions(self, now: int) -> "list[tuple[SessionContext, UpdateMsg]]":
         """Mint fresh credentials for every held session under the (already
-        adopted) new group secret; sessions of revoked commitments are
-        dropped instead."""
+        adopted) new group secret; sessions of revoked or expired
+        commitments are dropped instead."""
         gs = self.group_secret
         self.view.sync_to(now)
         updates = []
         for ch, ctx in list(self.sessions.items()):
-            if self.view.is_revoked(ch):
+            if ctx.t_exp <= now or self.view.is_revoked(ch):
                 del self.sessions[ch]
                 continue
             pid_new, d_new = self.rsm.mint_pseudonym()
@@ -581,9 +575,8 @@ class Vehicle:
         _emit(self.event_sink, now, self.node_id, "start_handover", "ok")
         return request, ctx
 
-    def handle_reply(self, ctx: SessionContext, reply, now: int) -> "tuple[AuthAck, bytes]":
-        if isinstance(reply, (bytes, bytearray)):
-            reply = AuthReply.decode(bytes(reply))
+    def handle_reply(self, ctx: SessionContext, rep_bytes: bytes, now: int) -> "tuple[AuthAck, bytes]":
+        reply = AuthReply.decode(rep_bytes)
         cred = self.credential
         if abs(ts_delta(now, reply.t2)) > FRESHNESS_WINDOW_MS:
             _emit(self.event_sink, now, self.node_id, "handle_reply", "StaleTimestamp")
@@ -601,10 +594,9 @@ class Vehicle:
             raise BadKeyConfirm("verifier key-confirmation tag mismatch")
         cred.pid = pid_new
         cred.d = d_new
-        ctx.beta_peer = beta_rsu
         ctx.m_secret = m_secret
         ctx.ks = ks
-        ctx.rep_bytes = reply.encode()
+        ctx.rep_bytes = rep_bytes
         ack = AuthAck(ack=hashes.h6(m_secret, ks, ctx.req_bytes, ctx.rep_bytes))
         _emit(self.event_sink, now, self.node_id, "handle_reply", "ok")
         return ack, ks
@@ -630,10 +622,10 @@ def register_vehicle(vn: Vehicle, rsm: RegionManager, lea: Authority, now: int) 
 
 def run_handover(vn: Vehicle, rsu: RoadsideUnit, now: int):
     """One full honest exchange; returns (vn ctx, rsu ctx) both confirmed."""
-    request, vn_ctx = vn.start_handover(rsu.sign_pk, now)
-    reply, rsu_ctx = rsu.handle_request(request, now)
-    ack, ks = vn.handle_reply(vn_ctx, reply, now)
-    rsu.handle_ack(rsu_ctx, ack, now)
+    _, vn_ctx = vn.start_handover(rsu.sign_pk, now)
+    reply, rsu_ctx = rsu.handle_request(vn_ctx.req_bytes, now)
+    ack, _ = vn.handle_reply(vn_ctx, reply.encode(), now)
+    rsu.handle_ack(rsu_ctx, ack.encode(), now)
     vn.sessions[rsu.node_id] = vn_ctx
     return vn_ctx, rsu_ctx
 

@@ -175,9 +175,9 @@ def cmd_audit(args) -> int:
     bystander = actors.Vehicle(b"VIN-BYSTANDER001", random.Random(master.random()), "vn2")
     actors.register_vehicle(suspect, rsm, lea, now=0)
     actors.register_vehicle(bystander, rsm, lea, now=0)
-    request, _ = suspect.start_handover(rsu.sign_pk, now=1000)
-    rsu.handle_request(request, now=1000)
-    report = rsu.report_malicious(request.encode(), now=1100)
+    _, ctx = suspect.start_handover(rsu.sign_pk, now=1000)
+    rsu.handle_request(ctx.req_bytes, now=1000)
+    report = rsu.report_malicious(ctx.req_bytes, now=1100)
     result = lea.trace(report, rsu.sign_pk, now=1200)
 
     honest = actors.audit_frame_claim(

@@ -515,7 +515,13 @@ def sqrt_mod_p(n: int):
 
 
 def solve_y(x: int):
-    """Even-y point with abscissa x, or None when x is not on the curve."""
+    """Even-y point with abscissa x, or None when x is not on the curve.
+
+    An x outside [0, P) is not a field element and gives None: decoders
+    must not read x and x + P as the same point.
+    """
+    if not 0 <= x < P:
+        return None
     y = sqrt_mod_p((x * x * x + A * x + B) % P)
     if y is None:
         return None
@@ -548,12 +554,9 @@ def point_decompress(data: bytes):
     prefix = data[0]
     if prefix not in (2, 3):
         raise ValueError("bad point prefix")
-    x = int.from_bytes(data[1:], "big")
-    if x >= P:
-        raise ValueError("x out of range")
-    pt = solve_y(x)
+    pt = solve_y(int.from_bytes(data[1:], "big"))
     if pt is None:
-        raise ValueError("x not on curve")
+        raise ValueError("x out of range or not on curve")
     if (pt[1] & 1) != (prefix & 1):
         pt = (pt[0], P - pt[1])
     return pt

@@ -62,7 +62,8 @@ def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
     The request-build phase ends with the 104 request bytes and excludes
     blinded-point precomputation: the pool is filled ahead of time, as a
     deployed prover would. ``rsu_verify`` starts from those bytes, so it
-    includes the decode.
+    includes the decode and ends with the 88 reply bytes. The reply phase
+    likewise ends with the 20 ack bytes.
     """
     lea, rsm, rsu, vehicles = _fixture(seed, fleet=1, freshness_ms=10**9)
     vn = vehicles[0]
@@ -76,10 +77,12 @@ def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
         req_bytes = request.encode()
         t1 = time.perf_counter_ns()
         reply, rsu_ctx = rsu.handle_request(req_bytes, now)
+        rep_bytes = reply.encode()
         t2 = time.perf_counter_ns()
-        ack, _ = vn.handle_reply(ctx, reply, now)
+        ack, _ = vn.handle_reply(ctx, rep_bytes, now)
+        ack_bytes = ack.encode()
         t3 = time.perf_counter_ns()
-        rsu.handle_ack(rsu_ctx, ack, now)
+        rsu.handle_ack(rsu_ctx, ack_bytes, now)
         t4 = time.perf_counter_ns()
         if i >= warmup:
             phases["vn_request_build"].append((t1 - t0) / 1e6)

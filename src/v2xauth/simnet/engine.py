@@ -236,7 +236,6 @@ class VehicleHost(Host):
         self.vn = vn
         self.home_rsm = home_rsm
         self.pending_ctx = {}  # rsu name -> SessionContext
-        self.session_ks = {}  # rsu name -> established ks
 
     def start_registration(self, now: int):
         request = self.vn.build_registration(self.engine.lea.params)
@@ -266,17 +265,17 @@ class VehicleHost(Host):
                     self.emit(now, "handle_reply", "NoSession")
                     return
                 ack, ks = self.vn.handle_reply(ctx, msg.payload, now)
-                self.session_ks[msg.src] = ks
+                self.vn.sessions[msg.src] = ctx
                 self.emit(now, "session_key", "ok", ks=ks.hex())
                 self.engine.send(self.name, msg.src, "ACK", ack.encode(), now)
             elif msg.kind == "S_UPD":
                 epoch = int.from_bytes(msg.payload[:4], "big")
                 upd = UpdateMsg.decode(msg.payload[4:])
-                ks = self.session_ks.get(msg.src)
-                if ks is None:
+                session = self.vn.sessions.get(msg.src)
+                if session is None:
                     self.emit(now, "apply_update", "NoSession")
                     return
-                self.vn.apply_update(upd, ks, epoch, now)  # emits its own event
+                self.vn.apply_update(upd, session.ks, epoch, now)  # emits its own event
         except (ProtocolError, WireError) as exc:
             self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
 
@@ -304,7 +303,7 @@ class RsuHost(Host):
                 self.emit(now, "session_key", "ok", ks=ctx.ks.hex())
             elif msg.kind == "GK":
                 # region server already adopted; mint per-session updates
-                epoch = int.from_bytes(msg.payload[56:60], "big")
+                epoch = self.rsu.group_secret.epoch
                 for ctx, upd in self.rsu.rotate_sessions(now):
                     peer = self._peer_for(ctx)
                     if peer is not None:
@@ -339,7 +338,7 @@ class RsmHost(Host):
         super().__init__(name, engine)
         self.rsm = rsm
         self.pending_registration = {}  # payload echo -> vehicle name
-        self.corrupt_receipt = ""  # "", "sig", or "txid": misbehaving-server knob
+        self.corrupt_txid = False  # misbehaving-server knob: pair the receipt with another tx
 
     def handle(self, msg: Message, now: int):
         try:
@@ -354,9 +353,7 @@ class RsmHost(Host):
                 if vehicle is None:
                     self.emit(now, "complete_registration", "NoPending")
                     return
-                if self.corrupt_receipt == "sig":
-                    sig = bytes(56)
-                elif self.corrupt_receipt == "txid" and self.rsm.view.ledger.entries:
+                if self.corrupt_txid and self.rsm.view.ledger.entries:
                     txid = self.rsm.view.ledger.entries[0].txid
                 reply = self.rsm.complete_registration(txid, sig, t_exp, now)
                 self.engine.send(self.name, vehicle, "REG_REP", reply.encode(), now)
@@ -378,7 +375,6 @@ class LeaHost(Host):
     def __init__(self, name, engine, lea: Authority):
         super().__init__(name, engine)
         self.lea = lea
-        self.trace_results = []
 
     def handle(self, msg: Message, now: int):
         try:
@@ -394,8 +390,7 @@ class LeaHost(Host):
                 req_bytes = msg.payload[2 + n + 56 :]
                 rsu = self.engine.rsus[rsu_id].rsu
                 report = actors.MisbehaviorReport(rsu_id=rsu_id, sig_rt=sig_rt, req_bytes=req_bytes)
-                result = self.lea.trace(report, rsu.sign_pk, now)  # emits its own event
-                self.trace_results.append(result)
+                self.lea.trace(report, rsu.sign_pk, now)  # emits its own event
         except (ProtocolError, WireError) as exc:
             self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
 

@@ -135,7 +135,9 @@ def build_engine(spec: ScenarioSpec, seed: "int | None" = None) -> Engine:
         elif role == "rsm":
             engine.add_rsm(name, sync_delay_ms=int(opts.get("sync_delay_ms", 1)))
             if opts.get("corrupt"):
-                engine.rsms[name].corrupt_receipt = opts["corrupt"]
+                if opts["corrupt"] != "txid":
+                    raise ScenarioValidationError(f"unknown corrupt= value: {opts['corrupt']}")
+                engine.rsms[name].corrupt_txid = True
         elif role == "rsu":
             engine.add_rsu(name, opts["rsm"], freshness_ms=int(opts.get("freshness_ms", 500)))
         elif role == "vn":

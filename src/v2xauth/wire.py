@@ -9,7 +9,8 @@ Curve points on the wire are 28 bytes: the x-coordinate alone, with the
 convention that the encoded point is the even-y representative. Senders
 guarantee canonical form by construction (the blinding exponent is
 resampled until the blinded point lands on even y), so no sign byte is
-spent. Timestamps are 4-byte milliseconds modulo 2^32 of harness time;
+spent. An x outside [0, P) is rejected, so no point has two encodings.
+Timestamps are 4-byte milliseconds modulo 2^32 of harness time;
 freshness comparisons are wraparound-aware.
 
 Decoding is total: any malformed buffer maps to a typed ``WireError``,

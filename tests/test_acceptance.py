@@ -39,8 +39,8 @@ def test_criterion_1_wire_sizes():
     chain, lea, rsm, rsu, vn = _domain(0xC1)
     actors.register_vehicle(vn, rsm, lea, now=0)
     request, ctx = vn.start_handover(rsu.sign_pk, now=1000)
-    reply, rctx = rsu.handle_request(request, now=1000)
-    ack, _ = vn.handle_reply(ctx, reply, now=1000)
+    reply, rctx = rsu.handle_request(request.encode(), now=1000)
+    ack, _ = vn.handle_reply(ctx, reply.encode(), now=1000)
     req_b, rep_b, ack_b = request.encode(), reply.encode(), ack.encode()
     sizes = (len(req_b), len(rep_b), len(ack_b))
     total = sum(sizes)
@@ -119,9 +119,9 @@ def test_criterion_4_attack_rejection():
     chain, lea, rsm, rsu, vn = _domain(0xC4)
     actors.register_vehicle(vn, rsm, lea, now=0)
     request, vctx = vn.start_handover(rsu.sign_pk, now=1000)
-    reply, rctx = rsu.handle_request(request, now=1000)
-    ack, _ = vn.handle_reply(vctx, reply, now=1000)
-    rsu.handle_ack(rctx, ack, now=1000)
+    reply, rctx = rsu.handle_request(request.encode(), now=1000)
+    ack, _ = vn.handle_reply(vctx, reply.encode(), now=1000)
+    rsu.handle_ack(rctx, ack.encode(), now=1000)
 
     flip_rejections = 0
     req_b = request.encode()
@@ -133,7 +133,7 @@ def test_criterion_4_attack_rejection():
         except (actors.ProtocolError, wire.WireError):
             flip_rejections += 1
     request2, vctx2 = vn.start_handover(rsu.sign_pk, now=1100)
-    reply2, _ = rsu.handle_request(request2, now=1100)
+    reply2, _ = rsu.handle_request(request2.encode(), now=1100)
     rep_b = reply2.encode()
     for i in range(len(rep_b)):
         mutated = bytearray(rep_b)
@@ -142,10 +142,10 @@ def test_criterion_4_attack_rejection():
             vn.handle_reply(vctx2, bytes(mutated), now=1100)
         except (actors.ProtocolError, wire.WireError):
             flip_rejections += 1
-    ack2, _ = vn.handle_reply(vctx2, reply2, now=1100)
+    ack2, _ = vn.handle_reply(vctx2, reply2.encode(), now=1100)
     request3, vctx3 = vn.start_handover(rsu.sign_pk, now=1200)
-    reply3, rctx3 = rsu.handle_request(request3, now=1200)
-    ack3, _ = vn.handle_reply(vctx3, reply3, now=1200)
+    reply3, rctx3 = rsu.handle_request(request3.encode(), now=1200)
+    ack3, _ = vn.handle_reply(vctx3, reply3.encode(), now=1200)
     ack_b = ack3.encode()
     for i in range(len(ack_b)):
         mutated = bytearray(ack_b)
@@ -158,21 +158,9 @@ def test_criterion_4_attack_rejection():
 
     # forged requests from an adversary holding neither the group secret
     # nor any trapdoor
-    rng = random.Random(0xF0C4)
     accepted = 0
     trials = 10_000
-    base = curve.scalar_mul(curve.GEN, 0xACCE55)
-    for i in range(trials):
-        pt = curve.point_add(base, curve.scalar_mul(curve.GEN, 1 + (i % 64)))
-        if not curve.has_even_y(pt):
-            pt = curve.point_neg(pt)
-        forged = actors.AuthRequest(
-            pid=rng.randbytes(16),
-            m=rng.randrange(curve.Q),
-            a_point=pt,
-            s1=rng.randbytes(28),
-            t1=2000 + i,
-        )
+    for i, forged in enumerate(_forged_requests(trials)):
         try:
             rsu.handle_request(forged, now=2000 + i)
             accepted += 1
@@ -185,6 +173,28 @@ def test_criterion_4_attack_rejection():
         flip_rejections == total_flips and accepted == 0,
         f"flips={flip_rejections}/{total_flips} forged_accepted={accepted}",
     )
+
+
+def _forged_requests(trials):
+    """Wire bytes of seeded forged requests, the i-th stamped T1 = 2000 + i.
+
+    A is base + k*G for k cycling through 1..64, each of the 64 points
+    computed once.
+    """
+    rng = random.Random(0xF0C4)
+    base = curve.scalar_mul(curve.GEN, 0xACCE55)
+    points = []
+    for k in range(1, 65):
+        pt = curve.point_add(base, curve.scalar_mul(curve.GEN, k))
+        points.append(pt if curve.has_even_y(pt) else curve.point_neg(pt))
+    for i in range(trials):
+        yield actors.AuthRequest(
+            pid=rng.randbytes(16),
+            m=rng.randrange(curve.Q),
+            a_point=points[i % 64],
+            s1=rng.randbytes(28),
+            t1=2000 + i,
+        ).encode()
 
 
 def test_criterion_5_cross_domain():
@@ -224,14 +234,14 @@ def test_criterion_6_revocation_semantics():
     revoked_rejected = updated_ok = missed_rejected = False
     try:
         request, _ = vn_revoked.start_handover(rsu.sign_pk, now=4000)
-        rsu.handle_request(request, now=4000)
+        rsu.handle_request(request.encode(), now=4000)
     except actors.UnknownCredential:
         revoked_rejected = True
     vctx, rctx = actors.run_handover(vn_updated, rsu, now=4100)
     updated_ok = rctx.established and vctx.ks == rctx.ks
     try:
         request, _ = vn_missed.start_handover(rsu.sign_pk, now=4200)
-        rsu.handle_request(request, now=4200)
+        rsu.handle_request(request.encode(), now=4200)
     except actors.UnknownCredential:
         missed_rejected = True
     _report(
@@ -248,7 +258,7 @@ def test_criterion_7_trace_audit_round_trip():
     actors.register_vehicle(vn, rsm, lea, now=0)
     actors.register_vehicle(other, rsm, lea, now=0)
     request, _ = vn.start_handover(rsu.sign_pk, now=1000)
-    rsu.handle_request(request, now=1000)
+    rsu.handle_request(request.encode(), now=1000)
     report = rsu.report_malicious(request.encode(), now=1100)
     result = lea.trace(report, rsu.sign_pk, now=1200)
 

@@ -114,8 +114,8 @@ def test_consecutive_handovers_share_no_wire_field():
     chain, lea, rsms, rsus, vn = make_domain(0xA5)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     req1, ctx1 = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rep1, rctx1 = rsus[0].handle_request(req1, now=2000)
-    vn.handle_reply(ctx1, rep1, now=2000)
+    rep1, rctx1 = rsus[0].handle_request(req1.encode(), now=2000)
+    vn.handle_reply(ctx1, rep1.encode(), now=2000)
     req2, _ = vn.start_handover(rsus[0].sign_pk, now=2500)
     assert req1.pid != req2.pid
     assert req1.m != req2.m
@@ -133,8 +133,8 @@ def test_no_linkable_value_across_hundred_handovers():
     prev = None
     for i in range(100):
         req, ctx = vn.start_handover(rsus[0].sign_pk, now=2000 + 2 * i)
-        rep, rctx = rsus[0].handle_request(req, now=2000 + 2 * i)
-        vn.handle_reply(ctx, rep, now=2000 + 2 * i)
+        rep, rctx = rsus[0].handle_request(req.encode(), now=2000 + 2 * i)
+        vn.handle_reply(ctx, rep.encode(), now=2000 + 2 * i)
         pids.append(req.pid)
         if prev is not None:
             assert req.pid != prev.pid
@@ -153,7 +153,7 @@ def test_session_context_close_drops_secrets():
     assert vn_ctx.ks and vn_ctx.m_secret
     vn_ctx.close()
     assert vn_ctx.ks == b"" and vn_ctx.m_secret == b""
-    assert vn_ctx.beta_own == 0 and vn_ctx.beta_peer == 0
+    assert vn_ctx.beta_own == 0
 
 
 def test_stale_timestamp_rejected():
@@ -161,16 +161,16 @@ def test_stale_timestamp_rejected():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
     with pytest.raises(actors.StaleTimestamp):
-        rsus[0].handle_request(request, now=2000 + actors.FRESHNESS_WINDOW_MS + 1)
+        rsus[0].handle_request(request.encode(), now=2000 + actors.FRESHNESS_WINDOW_MS + 1)
 
 
 def test_replayed_request_detected():
     chain, lea, rsms, rsus, vn = make_domain(0xA7)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rsus[0].handle_request(request, now=2001)
+    rsus[0].handle_request(request.encode(), now=2001)
     with pytest.raises(actors.ReplayDetected):
-        rsus[0].handle_request(request, now=2002)
+        rsus[0].handle_request(request.encode(), now=2002)
 
 
 def _off_curve_x(rng):
@@ -275,14 +275,14 @@ def test_tampered_reply_leaves_credential_unchanged():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     pid_before, d_before = vn.credential.pid, vn.credential.d
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
-    reply, _ = rsus[0].handle_request(request, now=2000)
+    reply, _ = rsus[0].handle_request(request.encode(), now=2000)
     raw = bytearray(reply.encode())
     raw[70] ^= 0x01  # inside S3
     with pytest.raises(actors.BadKeyConfirm):
         vn.handle_reply(ctx, bytes(raw), now=2000)
     assert (vn.credential.pid, vn.credential.d) == (pid_before, d_before)
     # honest reply still lands and rotates the pair
-    vn.handle_reply(ctx, reply, now=2000)
+    vn.handle_reply(ctx, reply.encode(), now=2000)
     assert (vn.credential.pid, vn.credential.d) != (pid_before, d_before)
 
 
@@ -290,12 +290,12 @@ def test_reply_replayed_into_second_session_rejected():
     chain, lea, rsms, rsus, vn = make_domain(0xAA)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     req1, ctx1 = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rep1, _ = rsus[0].handle_request(req1, now=2000)
-    vn.handle_reply(ctx1, rep1, now=2000)
+    rep1, _ = rsus[0].handle_request(req1.encode(), now=2000)
+    vn.handle_reply(ctx1, rep1.encode(), now=2000)
     # second session: replay the first reply into it
     req2, ctx2 = vn.start_handover(rsus[0].sign_pk, now=2400)
     with pytest.raises((actors.StaleTimestamp, actors.BadKeyConfirm)):
-        vn.handle_reply(ctx2, rep1, now=2400)
+        vn.handle_reply(ctx2, rep1.encode(), now=2400)
 
 
 def test_flipped_ack_and_cross_session_ack_rejected():
@@ -305,20 +305,20 @@ def test_flipped_ack_and_cross_session_ack_rejected():
     actors.register_vehicle(vn2, rsms[0], lea, now=0)
 
     req1, vctx1 = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rep1, rctx1 = rsus[0].handle_request(req1, now=2000)
-    ack1, _ = vn.handle_reply(vctx1, rep1, now=2000)
+    rep1, rctx1 = rsus[0].handle_request(req1.encode(), now=2000)
+    ack1, _ = vn.handle_reply(vctx1, rep1.encode(), now=2000)
 
     req2, vctx2 = vn2.start_handover(rsus[0].sign_pk, now=2100)
-    rep2, rctx2 = rsus[0].handle_request(req2, now=2100)
-    ack2, _ = vn2.handle_reply(vctx2, rep2, now=2100)
+    rep2, rctx2 = rsus[0].handle_request(req2.encode(), now=2100)
+    ack2, _ = vn2.handle_reply(vctx2, rep2.encode(), now=2100)
 
     flipped = bytearray(ack1.encode())
     flipped[0] ^= 0x01
     with pytest.raises(actors.BadAck):
         rsus[0].handle_ack(rctx1, bytes(flipped), now=2000)
     with pytest.raises(actors.BadAck):
-        rsus[0].handle_ack(rctx1, ack2, now=2000)  # splice from the other session
-    rsus[0].handle_ack(rctx1, ack1, now=2000)
+        rsus[0].handle_ack(rctx1, ack2.encode(), now=2000)  # splice from the other session
+    rsus[0].handle_ack(rctx1, ack1.encode(), now=2000)
     assert rctx1.established
 
 
@@ -343,7 +343,7 @@ def test_unregistered_credential_rejected():
     forged_vn.refill_pool()
     request, _ = forged_vn.start_handover(rsus[0].sign_pk, now=2000)
     with pytest.raises(actors.UnknownCredential):
-        rsus[0].handle_request(request, now=2000)
+        rsus[0].handle_request(request.encode(), now=2000)
 
 
 def test_forged_requests_without_secrets_rejected():
@@ -364,7 +364,7 @@ def test_forged_requests_without_secrets_rejected():
             t1=2000,
         )
         with pytest.raises(actors.ProtocolError):
-            rsus[0].handle_request(forged, now=2000)
+            rsus[0].handle_request(forged.encode(), now=2000)
         rejected += 1
     assert rejected == trials
 
@@ -384,7 +384,7 @@ def test_expired_registration_rejected():
     vn.credential.t_exp = late + 10**9
     request2, _ = vn.start_handover(rsus[0].sign_pk, now=late)
     with pytest.raises(actors.ExpiredRegistration):
-        rsus[0].handle_request(request2, now=late)
+        rsus[0].handle_request(request2.encode(), now=late)
 
 
 def test_rotation_revoked_vehicle_locked_out():
@@ -407,7 +407,7 @@ def test_rotation_revoked_vehicle_locked_out():
 
     with pytest.raises(actors.UnknownCredential):
         request, _ = vn.start_handover(rsus[0].sign_pk, now=4000)
-        rsus[0].handle_request(request, now=4000)
+        rsus[0].handle_request(request.encode(), now=4000)
     vn_ctx, rsu_ctx = actors.run_handover(vn2, rsus[0], now=4100)
     assert vn_ctx.ks == rsu_ctx.ks
 
@@ -420,12 +420,24 @@ def test_rsu_holds_the_latest_confirmed_session_per_commitment():
     actors.run_handover(vn, rsu, now=2000)
     _, latest = actors.run_handover(vn, rsu, now=2100)
     request, _ = vn.start_handover(rsu.sign_pk, now=2200)
-    rsu.handle_request(request, now=2200)  # answered, never confirmed
+    rsu.handle_request(request.encode(), now=2200)  # answered, never confirmed
     assert list(rsu.sessions) == [ch] and rsu.sessions[ch] is latest
 
     _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=3000)
     assert [ctx for _, ctx, _ in updates] == [latest]
     _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[ch], now=4000)
+    assert updates == [] and rsu.sessions == {}
+
+
+def test_rotation_drops_sessions_whose_registration_expired():
+    chain, lea, rsms, rsus, vn = make_domain(0xB1 + 0x100)
+    rsu = rsus[0]
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    _, rsu_ctx = actors.run_handover(vn, rsu, now=2000)
+    assert rsu_ctx.t_exp == vn.credential.t_exp
+    _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=vn.credential.t_exp - 1)
+    assert [ctx for _, ctx, _ in updates] == [rsu_ctx]
+    _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=vn.credential.t_exp + 1)
     assert updates == [] and rsu.sessions == {}
 
 
@@ -437,7 +449,7 @@ def test_rotation_missed_update_fails_until_reregistration():
     # update minted but never delivered
     with pytest.raises(actors.UnknownCredential):
         request, _ = vn.start_handover(rsus[0].sign_pk, now=4000)
-        rsus[0].handle_request(request, now=4000)
+        rsus[0].handle_request(request.encode(), now=4000)
     # re-registration restores service; the old registration is revoked first
     # so the commitment can be re-anchored is not needed: fresh trapdoor
     vn_fresh = actors.Vehicle(vn.identity, random.Random(31337), "vn1")
@@ -449,7 +461,7 @@ def test_trace_recovers_identity_and_audit_agrees():
     chain, lea, rsms, rsus, vn = make_domain(0xB1)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rsus[0].handle_request(request, now=2000)
+    rsus[0].handle_request(request.encode(), now=2000)
     report = rsus[0].report_malicious(request.encode(), now=2050)
 
     result = lea.trace(report, rsus[0].sign_pk, now=2100)
@@ -499,7 +511,7 @@ def test_audit_detects_framing_substitution():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     actors.register_vehicle(honest, rsms[0], lea, now=0)
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rsus[0].handle_request(request, now=2000)
+    rsus[0].handle_request(request.encode(), now=2000)
     report = rsus[0].report_malicious(request.encode(), now=2050)
     result = lea.trace(report, rsus[0].sign_pk, now=2100)
 
@@ -535,9 +547,9 @@ def test_identity_never_on_open_wire_after_registration():
     blobs = []
     for t in (2000, 2500, 3000):
         req, ctx = vn.start_handover(rsus[0].sign_pk, now=t)
-        rep, rctx = rsus[0].handle_request(req, now=t)
-        ack, _ = vn.handle_reply(ctx, rep, now=t)
-        rsus[0].handle_ack(rctx, ack, now=t)
+        rep, rctx = rsus[0].handle_request(req.encode(), now=t)
+        ack, _ = vn.handle_reply(ctx, rep.encode(), now=t)
+        rsus[0].handle_ack(rctx, ack.encode(), now=t)
         blobs += [req.encode(), rep.encode(), ack.encode()]
     for blob in blobs:
         assert vn.identity not in blob
@@ -550,5 +562,5 @@ def test_pool_exhaustion_still_succeeds_and_is_flagged():
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
     assert ctx.used_inline_point
     assert vn.inline_point_uses == 1
-    reply, _ = rsus[0].handle_request(request, now=2000)
+    reply, _ = rsus[0].handle_request(request.encode(), now=2000)
     assert reply is not None

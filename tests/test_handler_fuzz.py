@@ -1,0 +1,160 @@
+"""Byte-level fuzz of the three handover handlers.
+
+The handlers take wire bytes only, so arbitrary buffers and single-byte
+mutations of honest messages reach them exactly as they would off the
+radio. Two properties hold for every input:
+
+* nothing but a ``ProtocolError`` or a ``WireError`` escapes;
+* a rejection leaves the state untouched: the RSU's replay cache and
+  session table, the RSU's and region manager's RNG streams, the
+  vehicle's (pID, D) pair and the contexts the messages were aimed at.
+
+One domain is built per module and shared by every example, which is
+sound exactly because rejections must not change it.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from v2xauth import actors, wire
+from v2xauth.crypto import hashes
+from v2xauth.ledger import Ledger
+
+NOW = 2000
+REJECTS = (actors.ProtocolError, wire.WireError)
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.lru_cache(maxsize=1)
+def _domain():
+    master = random.Random(0xF2)
+    lea = actors.Authority(random.Random(master.random()), Ledger())
+    rsm = actors.RegionManager(lea, random.Random(master.random()), "rsm1")
+    rsu = actors.RoadsideUnit(rsm, random.Random(master.random()), "rsu1")
+    vn = actors.Vehicle(b"VIN-FUZZ00000001", random.Random(master.random()), "vn1")
+    actors.register_vehicle(vn, rsm, lea, now=0)
+    # never shown to the RSU, so its mutations get past the replay check
+    request, _ = vn.start_handover(rsu.sign_pk, NOW)
+    # answered but not yet handled by the vehicle nor confirmed
+    _, vn_ctx = vn.start_handover(rsu.sign_pk, NOW + 1)
+    reply, rsu_ctx = rsu.handle_request(vn_ctx.req_bytes, NOW + 1)
+    ack = wire.AuthAck(ack=hashes.h6(rsu_ctx.m_secret, rsu_ctx.ks, rsu_ctx.req_bytes, rsu_ctx.rep_bytes))
+    return {
+        "rsm": rsm,
+        "rsu": rsu,
+        "vn": vn,
+        "vn_ctx": vn_ctx,
+        "rsu_ctx": rsu_ctx,
+        "req": request.encode(),
+        "rep": reply.encode(),
+        "ack": ack.encode(),
+    }
+
+
+def _state(d):
+    rsu, cred = d["rsu"], d["vn"].credential
+    return (
+        dict(rsu._replay_cache),
+        list(rsu._replay_order),
+        dict(rsu.sessions),
+        rsu.rng.getstate(),
+        d["rsm"].rng.getstate(),
+        (cred.pid, cred.d),
+        (d["vn_ctx"].m_secret, d["vn_ctx"].ks, d["vn_ctx"].rep_bytes),
+        d["rsu_ctx"].established,
+    )
+
+
+def _assert_rejected_untouched(handler, data):
+    d = _domain()
+    before = _state(d)
+    with pytest.raises(REJECTS):
+        handler(d, data)
+    assert _state(d) == before
+
+
+def _handle_request(d, data):
+    d["rsu"].handle_request(data, NOW)
+
+
+def _handle_reply(d, data):
+    d["vn"].handle_reply(d["vn_ctx"], data, NOW + 1)
+
+
+def _handle_ack(d, data):
+    d["rsu"].handle_ack(d["rsu_ctx"], data, NOW + 1)
+
+
+HANDLERS = {"req": _handle_request, "rep": _handle_reply, "ack": _handle_ack}
+LENGTHS = {"req": wire.REQ_LEN, "rep": wire.REP_LEN, "ack": wire.ACK_LEN}
+
+
+def _fresh_tail(name):
+    """Arbitrary bytes of the right length that keep the honest message's
+    timestamp, so they get past the freshness check to the decode."""
+    if name == "ack":
+        return st.binary(min_size=wire.ACK_LEN, max_size=wire.ACK_LEN)
+    body = LENGTHS[name] - wire.TS_LEN
+    return st.binary(min_size=body, max_size=body).map(lambda b: b + _domain()[name][body:])
+
+
+def _mutation(name):
+    """The honest message with one byte changed to a different value."""
+    n = LENGTHS[name]
+
+    def apply(args):
+        i, xor = args
+        raw = bytearray(_domain()[name])
+        raw[i] ^= xor
+        return bytes(raw)
+
+    return st.tuples(st.integers(0, n - 1), st.integers(1, 255)).map(apply)
+
+
+def _inputs(name):
+    return st.one_of(
+        st.binary(max_size=2 * LENGTHS[name]),
+        _fresh_tail(name),
+        _mutation(name),
+    )
+
+
+@FUZZ
+@given(data=_inputs("req"))
+def test_fuzzed_request_bytes_rejected_without_side_effects(data):
+    _assert_rejected_untouched(_handle_request, data)
+
+
+@FUZZ
+@given(data=_inputs("rep"))
+def test_fuzzed_reply_bytes_rejected_without_side_effects(data):
+    _assert_rejected_untouched(_handle_reply, data)
+
+
+@FUZZ
+@given(data=_inputs("ack"))
+def test_fuzzed_ack_bytes_rejected_without_side_effects(data):
+    _assert_rejected_untouched(_handle_ack, data)
+
+
+@pytest.mark.parametrize("name", sorted(HANDLERS))
+def test_every_single_byte_mutation_rejected_without_side_effects(name):
+    honest = _domain()[name]
+    for i in range(len(honest)):
+        raw = bytearray(honest)
+        raw[i] ^= 0x80
+        _assert_rejected_untouched(HANDLERS[name], bytes(raw))
+
+
+def test_the_fuzzed_messages_are_one_step_from_accepted_ones():
+    # a fresh copy of the seeded domain, so the shared one stays unused
+    d = _domain.__wrapped__()
+    d["rsu"].handle_request(d["req"], NOW)
+    ack, _ = d["vn"].handle_reply(d["vn_ctx"], d["rep"], NOW + 1)
+    assert ack.encode() == d["ack"]
+    d["rsu"].handle_ack(d["rsu_ctx"], d["ack"], NOW + 1)
+    assert d["rsu_ctx"].established and d["vn_ctx"].ks == d["rsu_ctx"].ks

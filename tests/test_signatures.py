@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from v2xauth.crypto import signatures
+from v2xauth.crypto import curve, hashes, signatures, symmetric
 
 
 def test_sign_verify_round_trip():
@@ -75,3 +75,27 @@ def test_seal_wrong_recipient_fails():
     with pytest.raises(signatures.IntegrityError):
         signatures.adec(sk2, blob)
     assert signatures.adec(sk1, blob) == b"secret"
+
+
+def _seal_with_ephemeral_field(pk_owner_sk, x_field: int, eph_pub, msg: bytes) -> bytes:
+    """A blob whose ephemeral field is ``x_field`` and whose tag verifies
+    for ``eph_pub``; built from the recipient's key, as no sender could."""
+    shared = curve.scalar_mul(eph_pub, pk_owner_sk)
+    ke, km = signatures._hybrid_keys(eph_pub, shared)
+    ct = symmetric.sym_encrypt(ke, msg, b"hybrid")
+    tag = hashes.xof_bytes(hashes.TAG_HYBRID_KDF, [b"mac", km, ct], hashes.TAG_LEN)
+    return x_field.to_bytes(28, "big") + tag + ct
+
+
+def test_seal_with_ephemeral_x_at_or_above_p_rejected():
+    rng = random.Random(0x66)
+    sk, _ = signatures.keygen_enc(rng)
+    eph = curve.solve_y(3)
+    honest = _seal_with_ephemeral_field(sk, 3, eph, b"identity payload")
+    assert signatures.adec(sk, honest) == b"identity payload"
+    # x + P names the same point mod P; its tag is made to verify for the
+    # tuple the decoder would build from it, so only the range check stops it
+    shifted = (3 + curve.P, eph[1])
+    forged = _seal_with_ephemeral_field(sk, 3 + curve.P, shifted, b"identity payload")
+    with pytest.raises(signatures.IntegrityError):
+        signatures.adec(sk, forged)

@@ -70,6 +70,13 @@ def test_bad_txid_registration_rejected():
     scenarios.run_scenario(scenarios.REGISTRATION_BAD_TXID)
 
 
+def test_unknown_corrupt_value_fails_validation():
+    for value in ("sig", "nonsense"):
+        text = scenarios.REGISTRATION_BAD_TXID.replace("corrupt=txid", f"corrupt={value}")
+        with pytest.raises(ScenarioValidationError):
+            scenarios.run_scenario(text)
+
+
 def test_secure_link_script_fails_validation():
     with pytest.raises(ScenarioValidationError):
         scenarios.run_scenario(scenarios.SECURE_LINK_VIOLATION)

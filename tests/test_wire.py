@@ -113,6 +113,24 @@ def test_off_curve_x_raises():
     pytest.fail("no off-curve x found in probe range")
 
 
+def test_x_at_or_above_p_raises_off_curve():
+    # x = 3 is on the curve and x = 3 + P still fits in 28 bytes; read
+    # mod P it would name the same point, so only the range check stops it
+    assert curve.solve_y(3) is not None
+    rng = random.Random(0x7A)
+    data = bytearray(_sample_request(rng).encode())
+    for x in (3 + curve.P, curve.P, (1 << 224) - 1):
+        assert curve.solve_y(x) is None
+        with pytest.raises(wire.OffCurvePoint):
+            wire.decanonicalize(x.to_bytes(28, "big"))
+        data[44:72] = x.to_bytes(28, "big")
+        with pytest.raises(wire.OffCurvePoint):
+            wire.AuthRequest.decode(bytes(data))
+        with pytest.raises(ValueError):
+            curve.point_decompress(b"\x02" + x.to_bytes(28, "big"))
+    assert wire.decanonicalize((3).to_bytes(28, "big")) == curve.solve_y(3)
+
+
 def test_canonicalize_rejects_odd_y_and_identity():
     rng = random.Random(0x79)
     pt = _even_point(rng)
