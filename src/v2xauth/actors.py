@@ -380,10 +380,10 @@ class RoadsideUnit:
         order.append((now, key))
 
     def handle_request(self, req_bytes: bytes, now: int) -> "tuple[AuthReply, SessionContext]":
-        # freshness and replay need only pID and T1, so the bytes are checked
-        # for both before the decode pays for a square root
-        pid, t1 = request_replay_key(req_bytes)
         try:
+            # freshness and replay need only pID and T1, so the bytes are
+            # checked for both before the decode pays for a square root
+            pid, t1 = request_replay_key(req_bytes)
             if abs(ts_delta(now, t1)) > self.freshness_ms:
                 raise StaleTimestamp("request timestamp outside the freshness window")
             self._check_replay(pid, t1)
@@ -426,7 +426,7 @@ class RoadsideUnit:
             )
             _emit(self.event_sink, now, self.node_id, "verify_request", "ok")
             return reply, ctx
-        except ProtocolError as exc:
+        except (ProtocolError, WireError) as exc:
             _emit(self.event_sink, now, self.node_id, "verify_request", type(exc).__name__)
             raise
 

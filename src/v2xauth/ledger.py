@@ -11,7 +11,8 @@ in one region, authenticate in another after sync) meaningful.
 Write access is capability-gated: registration entries require the
 authority's writer token, revocation entries a region server's.
 Expiry is enforced at lookup: a registration past its T_Exp no longer
-counts as live, and its commitment may be registered again. The duplicate
+counts as live, and its commitment may be registered again unless it was
+revoked, since every view keeps a revocation for good. The duplicate
 check is one lookup: the ledger indexes, per compressed commitment, the
 registration with the greatest T_Exp, which is live at ``now`` exactly
 when some registration of that commitment is.
@@ -31,6 +32,10 @@ class LedgerError(Exception):
 
 class DuplicateRegistration(LedgerError):
     """Commitment already has a live (unexpired) registration."""
+
+
+class RevokedRegistration(LedgerError):
+    """Commitment was revoked; it may never be registered again."""
 
 
 class UnauthorizedWriter(LedgerError):
@@ -95,6 +100,7 @@ class Ledger:
         self.entries: list[LedgerTx] = []
         self._by_txid: dict[bytes, LedgerTx] = {}
         self._latest_expiry: dict[bytes, LedgerTx] = {}  # ch bytes -> registration with the greatest T_Exp
+        self._revoked: set[bytes] = set()  # ch bytes of every revoked commitment
         self._tokens: set[WriterToken] = set()
 
     def mint_token(self, role: str) -> WriterToken:
@@ -117,6 +123,8 @@ class Ledger:
             held = self._latest_expiry.get(ch_key)
             if held is None or tx.payload.t_exp > held.payload.t_exp:
                 self._latest_expiry[ch_key] = tx
+        else:
+            self._revoked.add(point_compress(tx.payload.ch))
 
     def append(self, payload, token: WriterToken, now: int) -> bytes:
         if token not in self._tokens:
@@ -126,6 +134,8 @@ class Ledger:
             if token.role != "registration":
                 raise UnauthorizedWriter("token cannot write registrations")
             ch_key = point_compress(payload.ch)
+            if ch_key in self._revoked:
+                raise RevokedRegistration("commitment was revoked")
             if self._live_registration(ch_key, now) is not None:
                 raise DuplicateRegistration("commitment already registered and unexpired")
         elif isinstance(payload, Revocation):

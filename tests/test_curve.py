@@ -12,7 +12,9 @@ only when the library did not load.
 
 ``sqrt_mod_p`` is a table-driven discrete log; the Tonelli-Shanks square
 root it replaced lives here as its oracle, with Euler's criterion as the
-residuosity verdict.
+residuosity verdict. Its one big exponentiation runs on libcrypto's
+``BN_mod_exp`` when the library loaded; Python's ``pow`` is the
+reference that path is held to, and the fallback.
 """
 
 import ctypes
@@ -235,7 +237,9 @@ def test_msm2_libcrypto_concurrent_calls_match_reference():
         assert got == expected * 8
 
 
-def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
+def _curve_without_libcrypto(monkeypatch):
+    """A fresh copy of the module, imported while ``ctypes.CDLL`` fails."""
+
     def refuse(*args, **kwargs):
         raise OSError("libcrypto.so.3: cannot open shared object file")
 
@@ -244,6 +248,11 @@ def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
     isolated = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, isolated)  # dataclasses look it up
     spec.loader.exec_module(isolated)
+    return isolated
+
+
+def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
+    isolated = _curve_without_libcrypto(monkeypatch)
     assert isolated._LIBCRYPTO is None
     assert isolated.BACKEND == "pure-python"
     assert isolated.msm2 is isolated._msm2_py
@@ -252,9 +261,13 @@ def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
 
 def test_msm2_public_name_is_the_loaded_backend():
     if curve._LIBCRYPTO is None:
-        assert (curve.msm2, curve.BACKEND) == (curve._msm2_py, "pure-python")
+        assert (curve.msm2, curve._pow_p, curve.BACKEND) == (curve._msm2_py, curve._pow_p_py, "pure-python")
     else:
-        assert (curve.msm2, curve.BACKEND) == (curve._msm2_libcrypto, "libcrypto")
+        assert (curve.msm2, curve._pow_p, curve.BACKEND) == (
+            curve._msm2_libcrypto,
+            curve._pow_p_libcrypto,
+            "libcrypto",
+        )
 
 
 def test_point_add_inverse_and_identity():
@@ -374,6 +387,59 @@ def test_sqrt_mod_p_edge_inputs():
             assert root in (expected, (P - expected) % P), n
     assert curve.sqrt_mod_p(11) is None
     assert curve.sqrt_mod_p(P - 1) is not None
+
+
+def _pow_p_inputs():
+    """10^4 seeded bases for the square root's exponent: the edges 0, 1,
+    P - 1, unreduced values in [P, 2^224), and uniform field elements."""
+    rng = random.Random(0xEC + 16)
+    edges = [0, 1, 2, 11, P - 1, P, P + 1, 2**224 - 1]
+    unreduced = [rng.randrange(P, 2**224) for _ in range(500)]
+    return edges + unreduced + [rng.randrange(P) for _ in range(10_000 - len(edges) - len(unreduced))]
+
+
+@needs_libcrypto
+def test_pow_p_libcrypto_matches_python_pow():
+    e = curve._SQRT_EXP
+    for n in _pow_p_inputs():
+        assert curve._pow_p_libcrypto(n, e) == curve._pow_p_py(n, e) == pow(n, e, P), n
+    for e in (0, 1, 2, P - 2, P - 1, (P - 1) // 2):
+        for n in (0, 1, 3, P - 1, GEN[0]):
+            assert curve._pow_p_libcrypto(n, e) == pow(n, e, P), (n, e)
+
+
+@needs_libcrypto
+def test_pow_p_libcrypto_concurrent_calls_match_reference():
+    e = curve._SQRT_EXP
+    cases = _pow_p_inputs()[:200]
+    expected = [pow(n, e, P) for n in cases]
+    results = {}
+
+    def worker(tid):
+        results[tid] = [curve._pow_p_libcrypto(n, e) for _ in range(8) for n in cases]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert got == expected * 8
+
+
+def test_sqrt_mod_p_falls_back_to_python_pow_without_libcrypto(monkeypatch):
+    isolated = _curve_without_libcrypto(monkeypatch)
+    assert isolated._pow_p is isolated._pow_p_py
+    inputs = _pow_p_inputs()[:2_000] + [2 * P + 9, 3 * P - 1, 2**300 + 5]
+    for n in inputs:
+        assert isolated.sqrt_mod_p(n) == curve.sqrt_mod_p(n), n
 
 
 def test_solve_y_even_root_matches_oracle():

@@ -1,13 +1,18 @@
-"""Byte-level fuzz of the three handover handlers.
+"""Byte-level fuzz of the three handover handlers and the authority's
+registration handler.
 
 The handlers take wire bytes only, so arbitrary buffers and single-byte
 mutations of honest messages reach them exactly as they would off the
 radio. Two properties hold for every input:
 
-* nothing but a ``ProtocolError`` or a ``WireError`` escapes;
+* nothing but a ``ProtocolError`` or a ``WireError`` escapes (for a
+  registration: a ``WireError``, an ``IntegrityError`` from ``adec`` or
+  a ``ValueError`` from the point decode);
 * a rejection leaves the state untouched: the RSU's replay cache and
   session table, the RSU's and region manager's RNG streams, the
-  vehicle's (pID, D) pair and the contexts the messages were aimed at.
+  vehicle's (pID, D) pair and the contexts the messages were aimed at;
+  for a registration, the ledger height, the authority's identity map
+  and its RNG stream.
 
 One domain is built per module and shared by every example, which is
 sound exactly because rejections must not change it.
@@ -21,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from v2xauth import actors, wire
-from v2xauth.crypto import hashes
+from v2xauth.crypto import hashes, signatures
 from v2xauth.ledger import Ledger
 
 NOW = 2000
@@ -43,7 +48,11 @@ def _domain():
     _, vn_ctx = vn.start_handover(rsu.sign_pk, NOW + 1)
     reply, rsu_ctx = rsu.handle_request(vn_ctx.req_bytes, NOW + 1)
     ack = wire.AuthAck(ack=hashes.h6(rsu_ctx.m_secret, rsu_ctx.ks, rsu_ctx.req_bytes, rsu_ctx.rep_bytes))
+    # a sealed registration that is never submitted
+    newcomer = actors.Vehicle(b"VIN-FUZZ00000002", random.Random(master.random()), "vn2")
+    registration = newcomer.build_registration(lea.params)
     return {
+        "lea": lea,
         "rsm": rsm,
         "rsu": rsu,
         "vn": vn,
@@ -52,6 +61,7 @@ def _domain():
         "req": request.encode(),
         "rep": reply.encode(),
         "ack": ack.encode(),
+        "reg": registration.encode(),
     }
 
 
@@ -158,3 +168,57 @@ def test_the_fuzzed_messages_are_one_step_from_accepted_ones():
     assert ack.encode() == d["ack"]
     d["rsu"].handle_ack(d["rsu_ctx"], d["ack"], NOW + 1)
     assert d["rsu_ctx"].established and d["vn_ctx"].ks == d["rsu_ctx"].ks
+    assert len(d["reg"]) == REG_LEN
+    height = d["lea"].chain.height()
+    txid, _, _ = d["lea"].handle_registration(wire.RegistrationRequest.decode(d["reg"]), NOW)
+    assert d["lea"].chain.height() == height + 1 and d["lea"]._ids[txid] == b"VIN-FUZZ00000002"
+
+
+# --- the authority's registration handler, through RegistrationRequest and adec ---
+
+REGISTRATION_REJECTS = (wire.WireError, signatures.IntegrityError, ValueError)
+# length prefix, then the sealed blob: ephemeral x, tag, and the 16-byte
+# identity with its length and the compressed commitment
+REG_LEN = 2 + 28 + hashes.TAG_LEN + 2 + 16 + 29
+
+
+def _authority_state(d):
+    lea = d["lea"]
+    return (lea.chain.height(), dict(lea._ids), lea.rng.getstate())
+
+
+def _assert_registration_rejected_untouched(data):
+    d = _domain()
+    before = _authority_state(d)
+    with pytest.raises(REGISTRATION_REJECTS):
+        d["lea"].handle_registration(wire.RegistrationRequest.decode(data), NOW)
+    assert _authority_state(d) == before
+
+
+def _registration_mutation():
+    def apply(args):
+        i, xor = args
+        raw = bytearray(_domain()["reg"])
+        raw[i] ^= xor
+        return bytes(raw)
+
+    return st.tuples(st.integers(0, REG_LEN - 1), st.integers(1, 255)).map(apply)
+
+
+def _sealed_blob():
+    """Arbitrary bytes behind a consistent length prefix, so they reach adec."""
+    return st.binary(max_size=2 * REG_LEN).map(lambda c1: wire.RegistrationRequest(c1=c1).encode())
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=2 * REG_LEN), _sealed_blob(), _registration_mutation()))
+def test_fuzzed_registration_bytes_rejected_without_side_effects(data):
+    _assert_registration_rejected_untouched(data)
+
+
+def test_every_single_byte_registration_mutation_rejected_without_side_effects():
+    honest = _domain()["reg"]
+    for i in range(len(honest)):
+        raw = bytearray(honest)
+        raw[i] ^= 0x80
+        _assert_registration_rejected_untouched(bytes(raw))

@@ -62,3 +62,63 @@ def test_domain_separation_across_tags():
 def test_rejects_unencodable_argument():
     with pytest.raises(TypeError):
         hashes.xof_bytes(0, [3.14], 20)
+
+
+# --- h1-h6 build their preimages field by field; encode_preimage is the oracle ---
+
+
+def _ts_field(t):
+    return (t & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+# (function, tag, argument kinds, output kind); "ts" is a timestamp int
+FIXED_LAYOUT = [
+    (hashes.h1, hashes.TAG_H1, ("bytes", "scalar", "scalar", "bytes"), "tag"),
+    (hashes.h2, hashes.TAG_H2, ("bytes", "scalar", "point", "bytes", "bytes", "point", "ts"), "scalar"),
+    (hashes.h3, hashes.TAG_H3, ("point", "bytes", "scalar", "ts"), "tag"),
+    (hashes.h4, hashes.TAG_H4, ("scalar", "bytes", "ts"), "tag"),
+    (hashes.h5, hashes.TAG_H5, ("bytes", "scalar", "bytes", "bytes", "bytes", "bytes", "ts"), "tag"),
+    (hashes.h6, hashes.TAG_H6, ("bytes", "bytes", "bytes", "bytes"), "tag"),
+]
+
+
+def _oracle(tag, kinds, args, out):
+    encoded = [_ts_field(a) if kind == "ts" else a for kind, a in zip(kinds, args)]
+    if out == "scalar":
+        return hashes.hash_to_scalar(tag, encoded)
+    return hashes.xof_bytes(tag, encoded, hashes.TAG_LEN)
+
+
+def test_fixed_layout_hashes_match_encode_preimage():
+    rng = random.Random(0x47)
+    # walk a point by a fixed step: many distinct points, one addition each
+    walk = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+    step = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+    draw = {
+        "bytes": lambda: rng.randbytes(rng.choice((0, 1, 4, 16, 20, 28, 29, 64, rng.randrange(200)))),
+        "scalar": lambda: rng.choice((0, 1, Q - 1, rng.randrange(Q))),
+        "ts": lambda: rng.choice((0, 2**32 - 1, 2**32, -1, rng.randrange(2**40))),
+    }
+    for i in range(10_000):
+        walk = curve.point_add(walk, step)
+        draw["point"] = lambda: None if rng.random() < 0.1 else walk
+        fn, tag, kinds, out = FIXED_LAYOUT[i % len(FIXED_LAYOUT)]
+        args = [draw[kind]() for kind in kinds]
+        assert fn(*args) == _oracle(tag, kinds, args, out), (fn.__name__, args)
+
+
+def test_fixed_layout_hashes_reject_out_of_range_scalars_like_the_oracle():
+    rng = random.Random(0x48)
+    for fn, tag, kinds, out in FIXED_LAYOUT:
+        for bad in (-1, 2**224, 2**224 + rng.randrange(2**64), -rng.randrange(1, Q)):
+            for pos, kind in enumerate(kinds):
+                if kind != "scalar":
+                    continue
+                args = [{"bytes": b"x", "scalar": 5, "point": GEN, "ts": 7}[k] for k in kinds]
+                args[pos] = bad
+                with pytest.raises(OverflowError):
+                    _oracle(tag, kinds, args, out)
+                with pytest.raises(OverflowError):
+                    fn(*args)
+    # scalars in [Q, 2^224) are not reduced, and encode like the oracle
+    assert hashes.h4(Q + 3, b"m", 1) == _oracle(hashes.TAG_H4, ("scalar", "bytes", "ts"), [Q + 3, b"m", 1], "tag")

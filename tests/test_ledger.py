@@ -56,6 +56,27 @@ def test_expired_registration_can_be_replaced():
     chain.append(lg.Registration(sig=rng.randbytes(56), ch=payload.ch, t_exp=500), token, now=100)
 
 
+def test_revoked_commitment_is_never_registered_again():
+    rng = random.Random(0x8B)
+    chain = lg.Ledger()
+    reg_token = chain.mint_token("registration")
+    payload = _reg(rng, t_exp=100)
+    chain.append(payload, reg_token, now=0)
+    chain.append(lg.Revocation(ch=payload.ch), chain.mint_token("revocation"), now=50)
+    again = lg.Registration(sig=rng.randbytes(56), ch=payload.ch, t_exp=500)
+    # expired, so not a duplicate: the revocation alone refuses it
+    with pytest.raises(lg.RevokedRegistration):
+        chain.append(again, reg_token, now=100)
+    assert chain.height() == 2
+    # the refusal survives a snapshot round trip; other commitments still register
+    restored = lg.snapshot_load(lg.snapshot_dump(chain))
+    token = restored.mint_token("registration")
+    with pytest.raises(lg.RevokedRegistration):
+        restored.append(again, token, now=100)
+    restored.append(_reg(rng), token, now=100)
+    assert restored.height() == 3
+
+
 def test_writer_capability_enforced():
     rng = random.Random(0x83)
     chain = lg.Ledger()

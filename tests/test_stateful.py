@@ -3,10 +3,12 @@ table, driven by Hypothesis rule-based state machines.
 
 The ledger machine appends registrations and revocations at times that
 may go backwards and round-trips the log through a snapshot; the full
-scan the ledger used before it kept an index is the oracle. The RSU
-machine runs handovers (confirmed or not), revocations and rotations on
-one roadside unit and holds its session table to a model of the latest
-confirmed session per commitment.
+scan the ledger used before it kept an index is the oracle, and a
+revoked commitment is never registered again. The RSU machine runs
+handovers (confirmed or not), revocations, rotations and a clock that
+passes the fleet's registration expiry on one roadside unit, and holds
+its verdicts and session table to a model of the latest confirmed
+session per live commitment.
 """
 
 import copy
@@ -16,7 +18,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from v2xauth import actors
 from v2xauth import ledger as lg
@@ -27,6 +29,8 @@ POINTS = [curve.GEN]
 for _ in range(3):
     POINTS.append(curve.point_add(POINTS[-1], curve.GEN))
 KEYS = [curve.point_compress(pt) for pt in POINTS]
+# only these may be revoked, so the others keep exercising the duplicate check
+REVOCABLE = st.integers(2, len(POINTS) - 1)
 TIMES = st.integers(min_value=0, max_value=120)
 
 
@@ -37,6 +41,13 @@ def oracle_live_registration(entries, ch_key: bytes, now: int):
             if tx.payload.t_exp > now:
                 return tx
     return None
+
+
+def oracle_revoked(entries, ch_key: bytes) -> bool:
+    """The full scan: some revocation of ``ch_key`` is in the log."""
+    return any(
+        isinstance(tx.payload, lg.Revocation) and curve.point_compress(tx.payload.ch) == ch_key for tx in entries
+    )
 
 
 class LedgerMachine(RuleBasedStateMachine):
@@ -52,18 +63,19 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @rule(i=st.integers(0, len(POINTS) - 1), now=TIMES, t_exp=TIMES)
     def register(self, i, now, t_exp):
+        revoked = oracle_revoked(self.ledger.entries, KEYS[i])
         live = oracle_live_registration(self.ledger.entries, KEYS[i], now) is not None
         payload = lg.Registration(sig=self.rng.randbytes(56), ch=POINTS[i], t_exp=t_exp)
         height = self.ledger.height()
-        if live:
-            with pytest.raises(lg.DuplicateRegistration):
+        if revoked or live:
+            with pytest.raises(lg.RevokedRegistration if revoked else lg.DuplicateRegistration):
                 self.ledger.append(payload, self.reg_token, now)
             assert self.ledger.height() == height
         else:
             txid = self.ledger.append(payload, self.reg_token, now)
             assert self.ledger.get(txid).payload == payload
 
-    @rule(i=st.integers(0, len(POINTS) - 1), now=TIMES)
+    @rule(i=REVOCABLE, now=TIMES)
     def revoke(self, i, now):
         self.ledger.append(lg.Revocation(ch=POINTS[i]), self.rev_token, now)
 
@@ -73,8 +85,11 @@ class LedgerMachine(RuleBasedStateMachine):
         self._adopt(lg.snapshot_load(lg.snapshot_dump(self.ledger)))
         assert [tx.txid for tx in self.ledger.entries] == before
         for i, key in enumerate(KEYS):
-            if oracle_live_registration(self.ledger.entries, key, now) is not None:
-                payload = lg.Registration(sig=bytes(56), ch=POINTS[i], t_exp=now + 1)
+            payload = lg.Registration(sig=bytes(56), ch=POINTS[i], t_exp=now + 1)
+            if oracle_revoked(self.ledger.entries, key):
+                with pytest.raises(lg.RevokedRegistration):
+                    self.ledger.append(payload, self.reg_token, now)
+            elif oracle_live_registration(self.ledger.entries, key, now) is not None:
                 with pytest.raises(lg.DuplicateRegistration):
                     self.ledger.append(payload, self.reg_token, now)
         assert self.ledger.height() == len(before)
@@ -88,6 +103,7 @@ class LedgerMachine(RuleBasedStateMachine):
 
 
 FLEET = 3
+DAY_MS = 24 * 3600 * 1000
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,10 +126,19 @@ class RsuSessionMachine(RuleBasedStateMachine):
         super().__init__()
         self.lea, self.rsm, self.rsu, self.fleet = copy.deepcopy(_registered_fleet())
         self.now = 1000
+        self.t_exp = actors.REGISTRATION_LIFETIME_MS  # the whole fleet registered at 0
+        assert all(vn.credential.t_exp == self.t_exp for vn in self.fleet)
         self.confirmed: set = set()  # every commitment ever confirmed
         self.held: dict = {}  # model of rsu.sessions: ch -> latest confirmed ctx
         self.revoked: set = set()
         self.stranded: set = set()  # vehicles left on a group secret the RSU no longer holds
+
+    @initialize()
+    def confirm_every_vehicle(self):
+        # otherwise an early rotation strands the whole fleet, and later
+        # rotations have no session to update or drop
+        for v in range(FLEET):
+            self.handover(v, True)
 
     def _tick(self):
         self.now += 10
@@ -126,15 +151,25 @@ class RsuSessionMachine(RuleBasedStateMachine):
         if not vn.credential.pool:
             vn.refill_pool()
         now = self._tick()
-        request, vn_ctx = vn.start_handover(self.rsu.sign_pk, now)
-        if v in self.stranded:
-            with pytest.raises(actors.UnknownCredential):
-                self.rsu.handle_request(request.encode(), now)
-            return
-        if ch in self.revoked:
-            with pytest.raises(actors.RevokedCredential):
-                self.rsu.handle_request(request.encode(), now)
-            return
+        expired = now >= self.t_exp
+        if expired:
+            with pytest.raises(actors.ExpiredWindow):
+                vn.start_handover(self.rsu.sign_pk, now)
+            # lift the vehicle's own pre-check so the RSU sees the request
+            vn.credential.t_exp = now + 1
+        try:
+            request, vn_ctx = vn.start_handover(self.rsu.sign_pk, now)
+        finally:
+            vn.credential.t_exp = self.t_exp
+        for rejected, verdict in (
+            (v in self.stranded, actors.UnknownCredential),
+            (ch in self.revoked, actors.RevokedCredential),
+            (expired, actors.ExpiredRegistration),
+        ):
+            if rejected:
+                with pytest.raises(verdict):
+                    self.rsu.handle_request(request.encode(), now)
+                return
         reply, rsu_ctx = self.rsu.handle_request(request.encode(), now)
         ack, ks = vn.handle_reply(vn_ctx, reply.encode(), now)
         if confirm:
@@ -151,10 +186,20 @@ class RsuSessionMachine(RuleBasedStateMachine):
             self.rsm.revoke(ch, self._tick())
             self.revoked.add(ch)
 
+    @rule(days=st.integers(1, 20))
+    def advance_clock(self, days):
+        """Move the clock by whole days; a few moves pass the fleet's
+        T_Exp, 30 days after registration."""
+        self.now += days * DAY_MS
+
     @rule()
     def rotate(self):
         now = self._tick()
-        expected = {ch: ctx for ch, ctx in self.held.items() if ch not in self.revoked}
+        # sessions of revoked or expired commitments are dropped, not updated
+        if now >= self.t_exp:
+            expected = {}
+        else:
+            expected = {ch: ctx for ch, ctx in self.held.items() if ch not in self.revoked}
         epoch, updates = actors.rotate_group_key(self.lea, [self.rsm], [self.rsu], [], now)
         minted = [ctx.ch for _, ctx, _ in updates]
         assert len(minted) == len(set(minted)) == len(expected)

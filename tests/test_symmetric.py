@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import random
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2xauth.crypto import curve, symmetric
+from v2xauth.crypto import curve, hashes, symmetric
 
 SRC = Path(symmetric.__file__).resolve().parents[2]
+# sym_encrypt(b"k" * 20, b"p" * 32, b"ctx") as the byte-wise XOR over an
+# encode_preimage keystream gives it
+KEYSTREAM_KAT = "e5fee8ddb08d5733718fea82a2ad417f696e92489c66d918f44ba39ed1ec95c8"
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,6 +40,29 @@ def test_nonce_field_width_is_preserved():
     # a 28-byte nonce must encrypt to exactly the 28-byte wire slot
     key = bytes(20)
     assert len(symmetric.sym_encrypt(key, bytes(28), b"S1")) == 28
+
+
+def _oracle_sym_encrypt(key, plaintext, context):
+    """The keystream cipher from encode_preimage and a byte-wise XOR."""
+    pre = hashes.encode_preimage(hashes.TAG_KEYSTREAM, [key, context])
+    stream = hashlib.shake_256(pre).digest(len(plaintext))
+    return bytes(a ^ b for a, b in zip(plaintext, stream))
+
+
+def test_sym_encrypt_matches_encode_preimage_oracle():
+    rng = random.Random(0x57)
+    for _ in range(10_000):
+        key = rng.randbytes(rng.choice((0, 20, rng.randrange(64))))
+        context = rng.randbytes(rng.choice((0, 2, 7, rng.randrange(64))))
+        # leading zero bytes must survive the integer XOR
+        plaintext = bytes(rng.randrange(4)) + rng.randbytes(rng.choice((0, 1, 28, 36, 64, rng.randrange(300))))
+        assert symmetric.sym_encrypt(key, plaintext, context) == _oracle_sym_encrypt(key, plaintext, context)
+
+
+def test_sym_encrypt_known_answers():
+    assert symmetric.sym_encrypt(b"k" * 20, b"", b"ctx") == b""
+    assert symmetric.sym_encrypt(b"", b"", b"") == b""
+    assert symmetric.sym_encrypt(b"k" * 20, b"p" * 32, b"ctx").hex() == KEYSTREAM_KAT
 
 
 def test_distinct_keys_distinct_ciphertexts():
