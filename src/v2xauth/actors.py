@@ -250,6 +250,7 @@ class Authority:
         id_len = int.from_bytes(plain[:2], "big")
         identity = plain[2 : 2 + id_len]
         ch = curve.point_decompress(plain[2 + id_len : 2 + id_len + 29])
+        self.chain.check_registrable(ch, now)  # before the signature draws from the RNG
         t_exp = now + REGISTRATION_LIFETIME_MS
         sig = signatures.sign(self._sign_sk, _receipt_message(identity, ch, t_exp), self.rng)
         txid = self.chain.append(Registration(sig=sig, ch=ch, t_exp=t_exp), self._reg_token, now)

@@ -120,28 +120,30 @@ def cmd_bench(args) -> int:
         comments=(f"linear fit slope {slope:.6f} ms/request, r_squared {r2:.6f}",),
     )
 
-    config = bench.BenchConfig(rate=args.rate, duration_ms=args.duration_ms, workers=args.workers)
-    loss_rows, capacity = bench.bench_loss_ratio(config, seed=args.seed or 0xC0)
+    interval_ms = 1000
+    loss_rows, capacity = bench.bench_loss_ratio(args.rate, args.duration_ms, interval_ms, seed=args.seed or 0xC0)
+    total_offered = sum(r[1] for r in loss_rows)
+    total_served = sum(r[2] for r in loss_rows)
+    total_dropped = sum(r[3] for r in loss_rows)
+    capacity_note = f"capacity ~{capacity:.0f}/s, median of {total_served} served calls"
     bench.write_csv(
         out / "loss.csv",
         ("interval", "offered", "served", "dropped", "loss_ratio"),
         loss_rows,
         comments=(
             "loss model: deadline queue; a request unserved when its interval closes is dropped",
-            f"offered rate {args.rate}/s, interval {config.interval_ms} ms, workers {config.workers}",
-            f"measured single-worker capacity {capacity:.0f} requests/s",
+            f"offered rate {args.rate}/s, interval {interval_ms} ms",
+            capacity_note,
         ),
     )
 
-    total_offered = sum(r[1] for r in loss_rows)
-    total_dropped = sum(r[3] for r in loss_rows)
     overall = total_dropped / total_offered if total_offered else 0.0
     if args.format == "text":
         print("phase latency (ms):")
         for phase, n, mean, p50, p95 in latency_rows:
             print(f"  {phase:20s} mean={mean:.4f} p50={p50:.4f} p95={p95:.4f} (n={n})")
         print(f"batch scaling: slope {slope:.4f} ms/request, r^2 {r2:.5f}")
-        print(f"loss at {args.rate}/s: {overall:.4f} (capacity ~{capacity:.0f}/s)")
+        print(f"loss at {args.rate}/s: {overall:.4f} ({capacity_note})")
     print(f"wrote {out / 'latency.csv'}, {out / 'scaling.csv'}, {out / 'loss.csv'}")
     return EXIT_OK
 
@@ -230,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser("bench", help="wall-clock latency, batch scaling and loss-ratio benchmarks")
     bench_p.add_argument("--rate", type=int, default=1000, help="offered requests per second")
     bench_p.add_argument("--duration-ms", type=int, default=2000)
-    bench_p.add_argument("--workers", type=int, default=1)
     bench_p.add_argument("--iterations", type=int, default=300)
     bench_p.set_defaults(func=cmd_bench)
 

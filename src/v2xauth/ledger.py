@@ -113,6 +113,16 @@ class Ledger:
         tx = self._latest_expiry.get(ch_key)
         return tx if tx is not None and tx.payload.t_exp > now else None
 
+    def check_registrable(self, ch, now: int) -> bytes:
+        """Raise unless ``ch`` may be registered at ``now``: it was never
+        revoked and has no live registration. Returns its compressed key."""
+        ch_key = point_compress(ch)
+        if ch_key in self._revoked:
+            raise RevokedRegistration("commitment was revoked")
+        if self._live_registration(ch_key, now) is not None:
+            raise DuplicateRegistration("commitment already registered and unexpired")
+        return ch_key
+
     def _commit(self, tx: LedgerTx, ch_key: "bytes | None" = None) -> None:
         """Add ``tx`` at the next height; every insert into the log comes here."""
         self.entries.append(tx)
@@ -133,11 +143,7 @@ class Ledger:
         if isinstance(payload, Registration):
             if token.role != "registration":
                 raise UnauthorizedWriter("token cannot write registrations")
-            ch_key = point_compress(payload.ch)
-            if ch_key in self._revoked:
-                raise RevokedRegistration("commitment was revoked")
-            if self._live_registration(ch_key, now) is not None:
-                raise DuplicateRegistration("commitment already registered and unexpired")
+            ch_key = self.check_registrable(payload.ch, now)
         elif isinstance(payload, Revocation):
             if token.role != "revocation":
                 raise UnauthorizedWriter("token cannot write revocations")

@@ -9,7 +9,7 @@ widened so timestamp policy does not interfere with throughput
 accounting.
 
 Loss model (documented in every CSV header): requests arrive on an
-ideal schedule at the offered rate; workers serve them in arrival
+ideal schedule at the offered rate; one loop serves them in arrival
 order; a request still unserved when its accounting interval closes is
 dropped and never served. This is a deadline queue, not a bounded
 buffer.
@@ -19,21 +19,10 @@ from __future__ import annotations
 
 import random
 import statistics
-import threading
 import time
-from dataclasses import dataclass
 
 from .. import actors
 from ..ledger import Ledger
-
-
-@dataclass
-class BenchConfig:
-    rate: int = 1000  # offered requests per second
-    duration_ms: int = 2000
-    interval_ms: int = 1000  # loss accounting window
-    workers: int = 1
-    warmup: int = 50
 
 
 def _fixture(seed: int, fleet: int, freshness_ms: int):
@@ -48,6 +37,17 @@ def _fixture(seed: int, fleet: int, freshness_ms: int):
         actors.register_vehicle(vn, rsm, lea, now=0)
         vehicles.append(vn)
     return lea, rsm, rsu, vehicles
+
+
+def _request_stream(rsu, vehicles, nows):
+    """Request bytes for each timestamp in ``nows``, round robin over the
+    fleet; every pool is refilled first so no build pays for a blinded point."""
+    for vn in vehicles:
+        vn.refill_pool(target=len(nows) // len(vehicles) + 2)
+    return [
+        vehicles[i % len(vehicles)].start_handover(rsu.sign_pk, now=now)[0].encode()
+        for i, now in enumerate(nows)
+    ]
 
 
 def _percentile(values, q):
@@ -106,30 +106,25 @@ def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
 def bench_batch_scaling(batch_sizes=(1, 10, 100, 1000), seed: int = 0xBF):
     """Total verification cost for n-request batches plus a linear fit.
 
-    Each batch is timed in this thread's CPU time, not wall-clock time:
-    a batch of one request lasts well under a millisecond, and on a shared
-    host another process's time slice would dominate it.
+    One pass serves ``max(batch_sizes)`` requests and reads this thread's
+    CPU clock each time the count reaches a batch size, so a batch of n is
+    the first n requests. Thread CPU time, not wall-clock time: a batch of
+    one request lasts well under a millisecond, and on a shared host
+    another process's time slice would dominate it.
 
-    Returns (rows, slope_ms, r_squared) where rows are (n, total_ms).
+    Returns (rows, slope_ms, r_squared) where rows are (n, total_ms) in
+    ascending n.
     """
     lea, rsm, rsu, vehicles = _fixture(seed, fleet=8, freshness_ms=10**12)
-    requests = []
-    total = max(batch_sizes)
-    for vn in vehicles:
-        vn.refill_pool(target=total // len(vehicles) + 2)
-    for i in range(total):
-        vn = vehicles[i % len(vehicles)]
-        request, _ = vn.start_handover(rsu.sign_pk, now=1000 + i)
-        requests.append((request.encode(), 1000 + i))
+    nows = [1000 + i for i in range(max(batch_sizes))]
+    requests = _request_stream(rsu, vehicles, nows)
+    marks = set(batch_sizes)
     rows = []
-    for n in batch_sizes:
-        batch = requests[:n]
-        t0 = time.thread_time_ns()
-        for request, now in batch:
-            rsu.handle_request(request, now)
-        t1 = time.thread_time_ns()
-        rows.append((n, (t1 - t0) / 1e6))
-        rsu._replay_cache.clear()
+    t0 = time.thread_time_ns()
+    for n, (request, now) in enumerate(zip(requests, nows), 1):
+        rsu.handle_request(request, now)
+        if n in marks:
+            rows.append((n, (time.thread_time_ns() - t0) / 1e6))
     xs = [float(n) for n, _ in rows]
     ys = [ms for _, ms in rows]
     fit = statistics.linear_regression(xs, ys)
@@ -137,71 +132,40 @@ def bench_batch_scaling(batch_sizes=(1, 10, 100, 1000), seed: int = 0xBF):
     return rows, fit.slope, r2
 
 
-def bench_loss_ratio(config: BenchConfig, seed: int = 0xC0):
-    """Loss ratio at the configured offered rate; one row per interval plus
-    a summary row. Returns (rows, measured_capacity_per_s).
+def bench_loss_ratio(rate: int, duration_ms: int, interval_ms: int = 1000, seed: int = 0xC0):
+    """Loss ratio at ``rate`` offered requests per second over
+    ``duration_ms``, one row per accounting interval; a last, shorter
+    interval gets its own row. Returns (rows, capacity_per_s), where the
+    capacity is 1000 / the median wall-clock time of the served calls, and
+    their count is the sum of the served column.
 
     rows: (interval_index, offered, served, dropped, loss_ratio)
     """
-    fleet = max(8, config.rate // 500)
-    lea, rsm, rsu, vehicles = _fixture(seed, fleet=fleet, freshness_ms=config.duration_ms + 60_000)
-    total = config.rate * config.duration_ms // 1000
-    spacing_ms = 1000.0 / config.rate
+    fleet = max(8, rate // 500)
+    lea, rsm, rsu, vehicles = _fixture(seed, fleet=fleet, freshness_ms=duration_ms + 60_000)
+    spacing_ms = 1000.0 / rate
+    arrivals = [i * spacing_ms for i in range(rate * duration_ms // 1000)]
+    stream = _request_stream(rsu, vehicles, [int(arrival) for arrival in arrivals])
 
-    per_vehicle = total // len(vehicles) + 2
-    for vn in vehicles:
-        vn.refill_pool(target=per_vehicle)
-    stream = []
-    for i in range(total):
-        arrival = i * spacing_ms
-        vn = vehicles[i % len(vehicles)]
-        request, _ = vn.start_handover(rsu.sign_pk, now=int(arrival))
-        stream.append((arrival, request.encode()))
-
-    # calibration for the capacity estimate; the median, because the first
-    # calls cost two to three times the rest
-    calib = []
-    for arrival, request in stream[: config.warmup]:
-        t0 = time.perf_counter_ns()
-        rsu.handle_request(request, int(arrival))
-        calib.append((time.perf_counter_ns() - t0) / 1e6)
-    rsu._replay_cache.clear()
-    capacity = 1000.0 / statistics.median(calib) if calib else 0.0
-
-    intervals = config.duration_ms // config.interval_ms
+    intervals = -(-duration_ms // interval_ms)
     served = [0] * intervals
     dropped = [0] * intervals
-    lock = threading.Lock()
-    cursor = [0]
+    call_ms = []
     start_ns = time.perf_counter_ns()
-
-    def worker():
-        while True:
-            with lock:
-                idx = cursor[0]
-                if idx >= total:
-                    return
-                cursor[0] = idx + 1
-            arrival, request = stream[idx]
-            bucket = min(int(arrival // config.interval_ms), intervals - 1)
-            deadline = (bucket + 1) * config.interval_ms
+    for arrival, request in zip(arrivals, stream):
+        bucket = int(arrival // interval_ms)
+        now_ms = (time.perf_counter_ns() - start_ns) / 1e6
+        if now_ms < arrival:
+            time.sleep((arrival - now_ms) / 1000.0)
             now_ms = (time.perf_counter_ns() - start_ns) / 1e6
-            if now_ms < arrival:
-                time.sleep((arrival - now_ms) / 1000.0)
-                now_ms = (time.perf_counter_ns() - start_ns) / 1e6
-            if now_ms > deadline:
-                with lock:
-                    dropped[bucket] += 1
-                continue
-            rsu.handle_request(request, int(arrival))
-            with lock:
-                served[bucket] += 1
-
-    threads = [threading.Thread(target=worker) for _ in range(max(1, config.workers))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+        if now_ms > (bucket + 1) * interval_ms:
+            dropped[bucket] += 1
+            continue
+        t0 = time.perf_counter_ns()
+        rsu.handle_request(request, int(arrival))
+        call_ms.append((time.perf_counter_ns() - t0) / 1e6)
+        served[bucket] += 1
+    capacity = 1000.0 / statistics.median(call_ms) if call_ms else 0.0
 
     rows = []
     for i in range(intervals):

@@ -137,7 +137,7 @@ class Adversary:
             if captured is None:
                 return
             payload = captured.payload
-        self.engine.deliver_direct(
+        self.engine.deliver(
             Message(src=step.src, dst=step.dst, kind=step.kind, payload=payload, note="injected")
         )
 
@@ -153,7 +153,7 @@ class Adversary:
                         replayed = Message(msg.src, msg.dst, msg.kind, msg.payload, "replayed")
                         self.engine.schedule(
                             deliver_at + later.delay_ms,
-                            lambda m=replayed: self.engine.deliver_direct(m),
+                            lambda m=replayed: self.engine.deliver(m),
                         )
             elif isinstance(step, Tamper) and step.kind == msg.kind and step.nth == idx:
                 mutated = bytearray(msg.payload)
@@ -252,32 +252,29 @@ class VehicleHost(Host):
         self.engine.send(self.name, rsu_name, "REQ", request.encode(), now)
 
     def handle(self, msg: Message, now: int):
-        try:
-            if msg.kind == "REG_REP":
-                reply = RegistrationReply.decode(msg.payload)
-                view = self.engine.rsms[self.home_rsm].rsm.view
-                view.sync_to(now)
-                self.vn.finish_registration(reply, view, now)
-                self.emit(now, "registered", "ok")
-            elif msg.kind == "REP":
-                ctx = self.pending_ctx.get(msg.src)
-                if ctx is None:
-                    self.emit(now, "handle_reply", "NoSession")
-                    return
-                ack, ks = self.vn.handle_reply(ctx, msg.payload, now)
-                self.vn.sessions[msg.src] = ctx
-                self.emit(now, "session_key", "ok", ks=ks.hex())
-                self.engine.send(self.name, msg.src, "ACK", ack.encode(), now)
-            elif msg.kind == "S_UPD":
-                epoch = int.from_bytes(msg.payload[:4], "big")
-                upd = UpdateMsg.decode(msg.payload[4:])
-                session = self.vn.sessions.get(msg.src)
-                if session is None:
-                    self.emit(now, "apply_update", "NoSession")
-                    return
-                self.vn.apply_update(upd, session.ks, epoch, now)  # emits its own event
-        except (ProtocolError, WireError) as exc:
-            self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
+        if msg.kind == "REG_REP":
+            reply = RegistrationReply.decode(msg.payload)
+            view = self.engine.rsms[self.home_rsm].rsm.view
+            view.sync_to(now)
+            self.vn.finish_registration(reply, view, now)
+            self.emit(now, "registered", "ok")
+        elif msg.kind == "REP":
+            ctx = self.pending_ctx.get(msg.src)
+            if ctx is None:
+                self.emit(now, "handle_reply", "NoSession")
+                return
+            ack, ks = self.vn.handle_reply(ctx, msg.payload, now)
+            self.vn.sessions[msg.src] = ctx
+            self.emit(now, "session_key", "ok", ks=ks.hex())
+            self.engine.send(self.name, msg.src, "ACK", ack.encode(), now)
+        elif msg.kind == "S_UPD":
+            epoch = int.from_bytes(msg.payload[:4], "big")
+            upd = UpdateMsg.decode(msg.payload[4:])
+            session = self.vn.sessions.get(msg.src)
+            if session is None:
+                self.emit(now, "apply_update", "NoSession")
+                return
+            self.vn.apply_update(upd, session.ks, epoch, now)  # emits its own event
 
 
 class RsuHost(Host):
@@ -288,30 +285,27 @@ class RsuHost(Host):
         self.last_request_bytes = b""
 
     def handle(self, msg: Message, now: int):
-        try:
-            if msg.kind == "REQ":
-                reply, ctx = self.rsu.handle_request(msg.payload, now)
-                self.pending_ctx[msg.src] = ctx
-                self.last_request_bytes = msg.payload
-                self.engine.send(self.name, msg.src, "REP", reply.encode(), now)
-            elif msg.kind == "ACK":
-                ctx = self.pending_ctx.get(msg.src)
-                if ctx is None:
-                    self.emit(now, "confirm", "NoSession")
-                    return
-                self.rsu.handle_ack(ctx, msg.payload, now)
-                self.emit(now, "session_key", "ok", ks=ctx.ks.hex())
-            elif msg.kind == "GK":
-                # region server already adopted; mint per-session updates
-                epoch = self.rsu.group_secret.epoch
-                for ctx, upd in self.rsu.rotate_sessions(now):
-                    peer = self._peer_for(ctx)
-                    if peer is not None:
-                        self.engine.send(
-                            self.name, peer, "S_UPD", epoch.to_bytes(4, "big") + upd.encode(), now
-                        )
-        except (ProtocolError, WireError) as exc:
-            self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
+        if msg.kind == "REQ":
+            reply, ctx = self.rsu.handle_request(msg.payload, now)
+            self.pending_ctx[msg.src] = ctx
+            self.last_request_bytes = msg.payload
+            self.engine.send(self.name, msg.src, "REP", reply.encode(), now)
+        elif msg.kind == "ACK":
+            ctx = self.pending_ctx.get(msg.src)
+            if ctx is None:
+                self.emit(now, "confirm", "NoSession")
+                return
+            self.rsu.handle_ack(ctx, msg.payload, now)
+            self.emit(now, "session_key", "ok", ks=ctx.ks.hex())
+        elif msg.kind == "GK":
+            # region server already adopted; mint per-session updates
+            epoch = self.rsu.group_secret.epoch
+            for ctx, upd in self.rsu.rotate_sessions(now):
+                peer = self._peer_for(ctx)
+                if peer is not None:
+                    self.engine.send(
+                        self.name, peer, "S_UPD", epoch.to_bytes(4, "big") + upd.encode(), now
+                    )
 
     def _peer_for(self, ctx):
         for peer, pending in self.pending_ctx.items():
@@ -341,34 +335,31 @@ class RsmHost(Host):
         self.corrupt_txid = False  # misbehaving-server knob: pair the receipt with another tx
 
     def handle(self, msg: Message, now: int):
-        try:
-            if msg.kind == "REG_REQ":
-                self.pending_registration[msg.payload] = msg.src
-                self.engine.send(self.name, self.engine.lea_name, "REG_FWD", msg.payload, now)
-            elif msg.kind == "REG_RCPT":
-                blob, vehicle = msg.payload, None
-                txid, sig, t_exp = blob[:32], blob[32:88], int.from_bytes(blob[88:96], "big")
-                echo = blob[96:]
-                vehicle = self.pending_registration.pop(echo, None)
-                if vehicle is None:
-                    self.emit(now, "complete_registration", "NoPending")
-                    return
-                if self.corrupt_txid and self.rsm.view.ledger.entries:
-                    txid = self.rsm.view.ledger.entries[0].txid
-                reply = self.rsm.complete_registration(txid, sig, t_exp, now)
-                self.engine.send(self.name, vehicle, "REG_REP", reply.encode(), now)
-            elif msg.kind == "GK":
-                gk = int.from_bytes(msg.payload[:28], "big")
-                b = int.from_bytes(msg.payload[28:56], "big")
-                epoch = int.from_bytes(msg.payload[56:60], "big")
-                self.rsm.receive_group_secret(actors.GroupSecret(gk=gk, b=b, epoch=epoch))
-                for rsu_name, rsu_host in self.engine.rsus.items():
-                    if rsu_host.rsu.rsm is self.rsm:
-                        self.engine.send(self.name, rsu_name, "GK", msg.payload, now)
-            elif msg.kind == "RPT":
-                self.engine.send(self.name, self.engine.lea_name, "RPT", msg.payload, now)
-        except (ProtocolError, WireError) as exc:
-            self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
+        if msg.kind == "REG_REQ":
+            self.pending_registration[msg.payload] = msg.src
+            self.engine.send(self.name, self.engine.lea_name, "REG_FWD", msg.payload, now)
+        elif msg.kind == "REG_RCPT":
+            blob, vehicle = msg.payload, None
+            txid, sig, t_exp = blob[:32], blob[32:88], int.from_bytes(blob[88:96], "big")
+            echo = blob[96:]
+            vehicle = self.pending_registration.pop(echo, None)
+            if vehicle is None:
+                self.emit(now, "complete_registration", "NoPending")
+                return
+            if self.corrupt_txid and self.rsm.view.ledger.entries:
+                txid = self.rsm.view.ledger.entries[0].txid
+            reply = self.rsm.complete_registration(txid, sig, t_exp, now)
+            self.engine.send(self.name, vehicle, "REG_REP", reply.encode(), now)
+        elif msg.kind == "GK":
+            gk = int.from_bytes(msg.payload[:28], "big")
+            b = int.from_bytes(msg.payload[28:56], "big")
+            epoch = int.from_bytes(msg.payload[56:60], "big")
+            self.rsm.receive_group_secret(actors.GroupSecret(gk=gk, b=b, epoch=epoch))
+            for rsu_name, rsu_host in self.engine.rsus.items():
+                if rsu_host.rsu.rsm is self.rsm:
+                    self.engine.send(self.name, rsu_name, "GK", msg.payload, now)
+        elif msg.kind == "RPT":
+            self.engine.send(self.name, self.engine.lea_name, "RPT", msg.payload, now)
 
 
 class LeaHost(Host):
@@ -377,22 +368,19 @@ class LeaHost(Host):
         self.lea = lea
 
     def handle(self, msg: Message, now: int):
-        try:
-            if msg.kind == "REG_FWD":
-                request = RegistrationRequest.decode(msg.payload)
-                txid, sig, t_exp = self.lea.handle_registration(request, now)
-                blob = txid + sig + t_exp.to_bytes(8, "big") + msg.payload
-                self.engine.send(self.name, msg.src, "REG_RCPT", blob, now)
-            elif msg.kind == "RPT":
-                n = int.from_bytes(msg.payload[:2], "big")
-                rsu_id = msg.payload[2 : 2 + n].decode()
-                sig_rt = msg.payload[2 + n : 2 + n + 56]
-                req_bytes = msg.payload[2 + n + 56 :]
-                rsu = self.engine.rsus[rsu_id].rsu
-                report = actors.MisbehaviorReport(rsu_id=rsu_id, sig_rt=sig_rt, req_bytes=req_bytes)
-                self.lea.trace(report, rsu.sign_pk, now)  # emits its own event
-        except (ProtocolError, WireError) as exc:
-            self.emit(now, "reject", type(exc).__name__, kind=msg.kind)
+        if msg.kind == "REG_FWD":
+            request = RegistrationRequest.decode(msg.payload)
+            txid, sig, t_exp = self.lea.handle_registration(request, now)
+            blob = txid + sig + t_exp.to_bytes(8, "big") + msg.payload
+            self.engine.send(self.name, msg.src, "REG_RCPT", blob, now)
+        elif msg.kind == "RPT":
+            n = int.from_bytes(msg.payload[:2], "big")
+            rsu_id = msg.payload[2 : 2 + n].decode()
+            sig_rt = msg.payload[2 + n : 2 + n + 56]
+            req_bytes = msg.payload[2 + n + 56 :]
+            rsu = self.engine.rsus[rsu_id].rsu
+            report = actors.MisbehaviorReport(rsu_id=rsu_id, sig_rt=sig_rt, req_bytes=req_bytes)
+            self.lea.trace(report, rsu.sign_pk, now)  # emits its own event
 
     def rotate(self, revoked_names, now: int):
         for vn_name in revoked_names:
@@ -432,20 +420,17 @@ class Engine:
     def node_rng(self):
         return random.Random(self.rng.getrandbits(64))
 
-    def event_sink(self):
-        return self.transcript.record_event
-
     # -- topology ------------------------------------------------------------
 
     def add_lea(self, name: str) -> Authority:
-        self.lea = Authority(self.node_rng(), self.chain, node_id=name, event_sink=self.event_sink())
+        self.lea = Authority(self.node_rng(), self.chain, node_id=name, event_sink=self.transcript.record_event)
         self.lea_name = name
         self.hosts[name] = LeaHost(name, self, self.lea)
         return self.lea
 
     def add_rsm(self, name: str, sync_delay_ms: int = 1) -> RegionManager:
         rsm = RegionManager(
-            self.lea, self.node_rng(), name, sync_delay_ms=sync_delay_ms, event_sink=self.event_sink()
+            self.lea, self.node_rng(), name, sync_delay_ms=sync_delay_ms, event_sink=self.transcript.record_event
         )
         host = RsmHost(name, self, rsm)
         self.hosts[name] = host
@@ -459,7 +444,7 @@ class Engine:
             self.node_rng(),
             name,
             freshness_ms=freshness_ms,
-            event_sink=self.event_sink(),
+            event_sink=self.transcript.record_event,
         )
         host = RsuHost(name, self, rsu)
         self.hosts[name] = host
@@ -468,7 +453,7 @@ class Engine:
         return rsu
 
     def add_vehicle(self, name: str, identity: bytes, home_rsm: str) -> Vehicle:
-        vn = Vehicle(identity, self.node_rng(), node_id=name, event_sink=self.event_sink())
+        vn = Vehicle(identity, self.node_rng(), node_id=name, event_sink=self.transcript.record_event)
         host = VehicleHost(name, self, vn, home_rsm)
         self.hosts[name] = host
         self.vehicles[name] = host
@@ -507,16 +492,17 @@ class Engine:
             if msg is None:
                 self.transcript.messages.append((deliver_at, src, dst, kind, b"", "adv-dropped"))
                 return
-        self.schedule(deliver_at, lambda m=msg: self._deliver(m))
+        self.schedule(deliver_at, lambda m=msg: self.deliver(m))
 
-    def deliver_direct(self, msg: Message):
-        self._deliver(msg)
-
-    def _deliver(self, msg: Message):
+    def deliver(self, msg: Message):
         self.transcript.record_message(self.now, msg)
         host = self.hosts.get(msg.dst)
-        if host is not None:
+        if host is None:
+            return
+        try:
             host.handle(msg, self.now)
+        except (ProtocolError, WireError) as exc:
+            host.emit(self.now, "reject", type(exc).__name__, kind=msg.kind)
 
     def run(self, limit_ms: int = 10_000_000):
         while self._heap:

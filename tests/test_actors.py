@@ -4,7 +4,7 @@ import pytest
 
 from v2xauth import actors, wire
 from v2xauth.crypto import chameleon, curve, signatures, symmetric
-from v2xauth.ledger import Ledger
+from v2xauth.ledger import DuplicateRegistration, Ledger, RevokedRegistration
 
 
 def make_domain(seed=0xA0, rsm_delay=0, count_rsm=1, count_rsu=1):
@@ -251,8 +251,8 @@ def test_replay_cache_holds_exactly_the_keys_inside_twice_the_window():
 
 
 def test_replay_cache_survives_being_cleared():
-    # the wall-clock benchmarks clear the cache between batches and then
-    # record the same keys again
+    # clearing the cache leaves the expiry FIFO as it was; a key recorded
+    # again after the clear expires by its new time, not by the stale entry
     chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x300)
     rsu = rsus[0]
     horizon = 2 * rsu.freshness_ms
@@ -269,6 +269,21 @@ def test_replay_cache_survives_being_cleared():
     rsu._record_seen(b"\x04" * 16, 2 * horizon + 1, 2 * horizon + 1)
     rsu._check_replay(first, 0)
     assert len(rsu._replay_cache) == 2
+
+
+def test_refused_registration_draws_no_randomness_and_appends_nothing():
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x400)
+    request = vn.build_registration(lea.params)
+    txid, _, _ = lea.handle_registration(request, now=1000)
+    ch = chain.get(txid).payload.ch
+    for revoke, error in ((False, DuplicateRegistration), (True, RevokedRegistration)):
+        if revoke:
+            rsms[0].revoke(ch, now=1000)
+        rng_state, height = lea.rng.getstate(), chain.height()
+        with pytest.raises(error):
+            lea.handle_registration(request, now=1000)
+        assert lea.rng.getstate() == rng_state
+        assert chain.height() == height
 
 
 def test_single_byte_flips_never_authenticate():

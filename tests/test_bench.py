@@ -25,22 +25,29 @@ def test_batch_scaling_is_linear():
 
 
 def test_low_rate_has_zero_loss():
-    config = bench.BenchConfig(rate=100, duration_ms=1000, warmup=10)
-    rows, capacity = bench.bench_loss_ratio(config)
+    rows, capacity = bench.bench_loss_ratio(100, 1000)
     assert sum(r[3] for r in rows) == 0
     assert capacity > 100
 
 
+def test_partial_interval_is_its_own_row():
+    # a duration that is not a whole number of intervals ends in a shorter
+    # interval of its own, with its own deadline
+    for duration_ms, offered in ((500, [50]), (1500, [100, 50])):
+        rows, _ = bench.bench_loss_ratio(100, duration_ms)
+        assert [r[1] for r in rows] == offered
+        for _, offered_n, served, dropped, _ in rows:
+            assert served + dropped == offered_n
+
+
 def test_forced_saturation_drops_requests():
-    # offered load a fixed multiple (4x) of the single-worker capacity
-    # measured first; the window shrinks with the rate so the stream stays
-    # near 4000 requests, whose blinded points dominate the build time
-    probe = bench.BenchConfig(rate=1000, duration_ms=100, interval_ms=100, warmup=50)
-    _, capacity = bench.bench_loss_ratio(probe)
+    # offered load a fixed multiple (4x) of the capacity measured first;
+    # the window shrinks with the rate so the stream stays near 4000
+    # requests, whose blinded points dominate the build time
+    _, capacity = bench.bench_loss_ratio(1000, 100, interval_ms=100)
     rate = 4 * math.ceil(capacity)
     window_ms = max(1, 4000 * 1000 // rate)
-    config = bench.BenchConfig(rate=rate, duration_ms=window_ms, interval_ms=window_ms, warmup=10)
-    rows, _ = bench.bench_loss_ratio(config)
+    rows, _ = bench.bench_loss_ratio(rate, window_ms, interval_ms=window_ms)
     total_offered = sum(r[1] for r in rows)
     total_dropped = sum(r[3] for r in rows)
     assert total_offered == rate * window_ms // 1000

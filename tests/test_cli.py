@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from v2xauth import cli
@@ -72,11 +74,20 @@ def test_bench_writes_csv(tmp_path, capsys):
         text = (tmp_path / name).read_text()
         assert text.startswith("#")
         assert "," in text
-    assert "capacity" in (tmp_path / "loss.csv").read_text()
+    out = capsys.readouterr().out
+    for text in ((tmp_path / "loss.csv").read_text(), out):
+        served = re.search(r"capacity ~\d+/s, median of (\d+) served calls", text)
+        assert served is not None and int(served.group(1)) > 0
 
 
 def test_bench_infeasible_config(tmp_path):
     assert cli.main(["--out", str(tmp_path), "bench", "--rate", "0"]) == cli.EXIT_BENCH
+
+
+def test_bench_has_no_workers_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "bench", "--workers", "1"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_on_unknown_command(tmp_path):
