@@ -323,6 +323,22 @@ class RegionManager:
         pid = symmetric.pid_encrypt(gs.b, pd)
         return pid, hashes.h1(pd, gs.gk, gs.b, pid)
 
+    def mint_pseudonyms(self, n: int) -> "list[tuple[bytes, bytes]]":
+        """``n`` (pID, D) pairs from one RNG draw and one AES pass.
+
+        One ``randbytes(16 * n)`` yields the same bytes, and leaves the
+        same RNG state, as ``n`` draws of 16, so the pairs equal ``n``
+        ``mint_pseudonym()`` calls in order.
+        """
+        gs = self.group_secret
+        pds = self.rng.randbytes(symmetric.PID_LEN * n)
+        pids = symmetric.pid_encrypt_blocks(gs.b, pds)
+        pairs = []
+        for i in range(0, len(pds), symmetric.PID_LEN):
+            pd, pid = pds[i : i + symmetric.PID_LEN], pids[i : i + symmetric.PID_LEN]
+            pairs.append((pid, hashes.h1(pd, gs.gk, gs.b, pid)))
+        return pairs
+
     def complete_registration(self, txid: bytes, sig: bytes, t_exp: int, now: int) -> RegistrationReply:
         pid, d = self.mint_pseudonym()
         _emit(self.event_sink, now, self.node_id, "mint_pseudonym", "ok")
@@ -450,17 +466,23 @@ class RoadsideUnit:
     def rotate_sessions(self, now: int) -> "list[tuple[SessionContext, UpdateMsg]]":
         """Mint fresh credentials for every held session under the (already
         adopted) new group secret; sessions of revoked or expired
-        commitments are dropped instead."""
-        gs = self.group_secret
+        commitments are dropped instead.
+
+        Dropping draws no randomness, so the drops go first and the live
+        sessions' pseudonyms are then minted in one batch, in table order:
+        the region manager's RNG stream is the same as one
+        ``mint_pseudonym`` per live session. Each update still gets its
+        own session-key keystream.
+        """
         self.view.sync_to(now)
-        updates = []
-        for ch, ctx in list(self.sessions.items()):
-            if ctx.t_exp <= now or self.view.is_revoked(ch):
-                del self.sessions[ch]
-                continue
-            pid_new, d_new = self.rsm.mint_pseudonym()
-            s_upd = symmetric.sym_encrypt(ctx.ks, pid_new + d_new, _upd_context(gs.epoch))
-            updates.append((ctx, UpdateMsg(s_upd=s_upd)))
+        for ch in [ch for ch, ctx in self.sessions.items() if ctx.t_exp <= now or self.view.is_revoked(ch)]:
+            del self.sessions[ch]
+        live = list(self.sessions.values())
+        context = _upd_context(self.group_secret.epoch)
+        updates = [
+            (ctx, UpdateMsg(s_upd=symmetric.sym_encrypt(ctx.ks, pid_new + d_new, context)))
+            for ctx, (pid_new, d_new) in zip(live, self.rsm.mint_pseudonyms(len(live)))
+        ]
         _emit(self.event_sink, now, self.node_id, "rotate_sessions", "ok", count=len(updates))
         return updates
 

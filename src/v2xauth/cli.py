@@ -125,7 +125,7 @@ def cmd_bench(args) -> int:
     total_offered = sum(r[1] for r in loss_rows)
     total_served = sum(r[2] for r in loss_rows)
     total_dropped = sum(r[3] for r in loss_rows)
-    capacity_note = f"capacity ~{capacity:.0f}/s, median of {total_served} served calls"
+    capacity_note = f"capacity ~{capacity:.0f}/s, mean of {total_served} served calls"
     bench.write_csv(
         out / "loss.csv",
         ("interval", "offered", "served", "dropped", "loss_ratio"),

@@ -19,6 +19,12 @@ at import, the block runs on the ``cryptography`` package instead, which
 is imported only then: its extension maps a second OpenSSL, and
 importing it raised the peak resident memory of ``import v2xauth.actors``
 from 20 MB to 26 MB (Python 3.11, x86-64).
+
+``pid_encrypt_blocks`` encrypts k raw pseudonyms in one ECB pass with one
+cipher context, on either backend. ECB treats each block on its own, so
+the result is the k ``pid_encrypt`` results concatenated. A group-key
+rotation mints its whole fan-out that way: setting up a context for one
+block cost more than the block itself.
 """
 
 from __future__ import annotations
@@ -57,24 +63,25 @@ def pid_cipher_key(b: int) -> bytes:
     return xof_bytes(TAG_PID_KDF, [b], 16)
 
 
-def _aes_block_libcrypto(key: bytes, block: bytes, encrypt: bool) -> bytes:
-    """One AES-128-ECB block through libcrypto's EVP interface; each call
-    owns and frees its cipher context."""
+def _aes_block_libcrypto(key: bytes, blocks: bytes, encrypt: bool) -> bytes:
+    """AES-128-ECB over whole 16-byte blocks through libcrypto's EVP
+    interface; each call owns and frees its cipher context."""
     lib = LIBCRYPTO
+    n = len(blocks)
     ctx = lib.EVP_CIPHER_CTX_new()
     if not ctx:
         raise MemoryError("EVP_CIPHER_CTX_new failed")
     try:
-        out = ctypes.create_string_buffer(2 * PID_LEN)
+        out = ctypes.create_string_buffer(n + PID_LEN)
         out_len = ctypes.c_int(0)
         if not (
             lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_ecb(), None, key, None, int(encrypt))
             and lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
-            and lib.EVP_CipherUpdate(ctx, out, ctypes.byref(out_len), block, PID_LEN)
-            and out_len.value == PID_LEN
+            and lib.EVP_CipherUpdate(ctx, out, ctypes.byref(out_len), blocks, n)
+            and out_len.value == n
         ):
             raise RuntimeError("libcrypto AES-128-ECB failed")
-        return out.raw[:PID_LEN]
+        return out.raw[:n]
     finally:
         lib.EVP_CIPHER_CTX_free(ctx)
 
@@ -86,11 +93,11 @@ def _cryptography_cipher(key: bytes):
     return Cipher(algorithms.AES(key), modes.ECB())
 
 
-def _aes_block_cryptography(key: bytes, block: bytes, encrypt: bool) -> bytes:
-    """The same block on the ``cryptography`` package: the fallback."""
+def _aes_block_cryptography(key: bytes, blocks: bytes, encrypt: bool) -> bytes:
+    """The same blocks on the ``cryptography`` package: the fallback."""
     cipher = _cryptography_cipher(key)
     op = cipher.encryptor() if encrypt else cipher.decryptor()
-    return op.update(block) + op.finalize()
+    return op.update(blocks) + op.finalize()
 
 
 def _select_aes_block():
@@ -112,6 +119,16 @@ def pid_encrypt(b: int, pd: bytes) -> bytes:
     if len(pd) != PID_LEN:
         raise ValueError("raw pseudonym must be 16 bytes")
     return _aes_block(pid_cipher_key(b), pd, True)
+
+
+def pid_encrypt_blocks(b: int, pds: bytes) -> bytes:
+    """Encrypt k concatenated 16-byte raw pseudonyms in one ECB pass; the
+    result equals the k ``pid_encrypt`` results concatenated."""
+    if len(pds) % PID_LEN:
+        raise ValueError("raw pseudonyms must be whole 16-byte blocks")
+    if not pds:
+        return b""
+    return _aes_block(pid_cipher_key(b), pds, True)
 
 
 def pid_decrypt(b: int, pid: bytes) -> bytes:

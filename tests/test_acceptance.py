@@ -294,7 +294,7 @@ def test_criterion_8_desk_scale_performance():
         f"msm2 backend={curve.BACKEND}; "
         f"verify_mean={verify_mean:.3f}ms (<1.7) build_mean={build_mean:.4f}ms (<0.1) "
         f"batch_r2={r2:.5f} (>0.99); offered 5000/s -> loss={loss:.3f}, "
-        f"capacity ~{capacity:.0f}/s, median of {served} served calls"
+        f"capacity ~{capacity:.0f}/s, mean of {served} served calls"
     )
     if loss > 0:
         # hardware cannot reach the reported rate; the CSV-documented

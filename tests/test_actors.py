@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -476,6 +477,77 @@ def test_rotation_drops_sessions_whose_registration_expired():
     assert [ctx for _, ctx, _ in updates] == [rsu_ctx]
     _, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=vn.credential.t_exp + 1)
     assert updates == [] and rsu.sessions == {}
+
+
+def test_mint_pseudonyms_equals_one_mint_pseudonym_per_pair():
+    chain, lea, rsms, rsus, vn = make_domain(0xB1 + 0x200)
+    batched, looped = rsms[0], copy.deepcopy(rsms[0])
+    for n in (0, 1, 2, 33):
+        assert batched.mint_pseudonyms(n) == [looped.mint_pseudonym() for _ in range(n)]
+        assert batched.rng.getstate() == looped.rng.getstate()
+
+
+def _reference_rotate_sessions(rsu, now):
+    """The per-session loop: drop or mint session by session, one
+    ``mint_pseudonym`` per live session."""
+    epoch = rsu.group_secret.epoch
+    rsu.view.sync_to(now)
+    updates = []
+    for ch, ctx in list(rsu.sessions.items()):
+        if ctx.t_exp <= now or rsu.view.is_revoked(ch):
+            del rsu.sessions[ch]
+            continue
+        pid_new, d_new = rsu.rsm.mint_pseudonym()
+        s_upd = symmetric.sym_encrypt(ctx.ks, pid_new + d_new, actors._upd_context(epoch))
+        updates.append((ctx, wire.UpdateMsg(s_upd=s_upd)))
+    return updates
+
+
+def test_batched_rotation_matches_the_per_session_loop():
+    day = 24 * 3600 * 1000
+    chain, lea, rsms, rsus, _ = make_domain(0xB1 + 0x300)
+    rsm, rsu = rsms[0], rsus[0]
+    fleet = [actors.Vehicle(f"VIN-ROT{i:09d}".encode(), random.Random(0x70 + i), f"vn{i}") for i in range(10)]
+    # vn0-vn4 register a day before vn5-vn9, so they expire first
+    for i, vn in enumerate(fleet):
+        actors.register_vehicle(vn, rsm, lea, now=0 if i < 5 else day)
+    for i, vn in enumerate(fleet[:9]):
+        actors.run_handover(vn, rsu, now=day + 1000 + 10 * i)
+        if i % 3 == 0:  # a later session replaces the first
+            actors.run_handover(vn, rsu, now=day + 2000 + 10 * i)
+    request, _ = fleet[9].start_handover(rsu.sign_pk, now=day + 3000)
+    rsu.handle_request(request.encode(), now=day + 3000)  # answered, never confirmed
+
+    batched = (lea, rsm, rsu, fleet)
+    reference = copy.deepcopy(batched)
+    expiry = actors.REGISTRATION_LIFETIME_MS
+    # vn3 revoked; then vn0-vn4 expired; then vn7 revoked
+    for now, revoked, live in ((day + 5000, [3], 8), (expiry + 1, [], 4), (expiry + 2, [7], 3)):
+        lea, rsm, rsu, fleet = batched
+        epoch, triples = actors.rotate_group_key(
+            lea, [rsm], [rsu], [fleet[i].credential.commitment for i in revoked], now
+        )
+        updates = [(ctx, upd) for _, ctx, upd in triples]
+        lea, rsm, rsu, fleet = reference
+        for i in revoked:
+            rsm.revoke(fleet[i].credential.commitment, now)
+        rsm.receive_group_secret(lea.rotate(now))
+        expected = _reference_rotate_sessions(rsu, now)
+
+        assert len(updates) == len(expected) == live
+        assert [upd.encode() for _, upd in updates] == [upd.encode() for _, upd in expected]
+        assert [ctx.ch for ctx, _ in updates] == [ctx.ch for ctx, _ in expected]
+        assert list(batched[2].sessions) == list(rsu.sessions)
+        assert batched[1].rng.getstate() == rsm.rng.getstate()
+        for (lea, rsm, rsu, fleet), side_updates in ((batched, updates), (reference, expected)):
+            # every live vehicle takes its update and hands over again
+            update_for = {ctx.ch: upd for ctx, upd in side_updates}
+            for vn in fleet:
+                upd = update_for.get(vn.credential.commitment)
+                if upd is not None:
+                    vn.apply_update(upd, vn.sessions[rsu.node_id].ks, epoch, now)
+                    actors.run_handover(vn, rsu, now + 1)
+    assert list(batched[2].sessions) == [batched[3][i].credential.commitment for i in (5, 6, 8)]
 
 
 def test_rotation_missed_update_fails_until_reregistration():

@@ -76,7 +76,7 @@ def test_bench_writes_csv(tmp_path, capsys):
         assert "," in text
     out = capsys.readouterr().out
     for text in ((tmp_path / "loss.csv").read_text(), out):
-        served = re.search(r"capacity ~\d+/s, median of (\d+) served calls", text)
+        served = re.search(r"capacity ~\d+/s, mean of (\d+) served calls", text)
         assert served is not None and int(served.group(1)) > 0
 
 

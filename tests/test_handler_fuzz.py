@@ -1,5 +1,5 @@
-"""Byte-level fuzz of the three handover handlers and the authority's
-registration handler.
+"""Byte-level fuzz of the three handover handlers, the authority's
+registration handler and the vehicle's update application.
 
 The handlers take wire bytes only, so arbitrary buffers and single-byte
 mutations of honest messages reach them exactly as they would off the
@@ -12,10 +12,12 @@ radio. Two properties hold for every input:
   session table, the RSU's and region manager's RNG streams, the
   vehicle's (pID, D) pair and the contexts the messages were aimed at;
   for a registration, the ledger height, the authority's identity map
-  and its RNG stream.
+  and its RNG stream; for an update of a wrong length, the vehicle's
+  (pID, D) pair and its sessions.
 
-One domain is built per module and shared by every example, which is
-sound exactly because rejections must not change it.
+One domain is built per module (and one for updates) and shared by
+every example, which is sound exactly because rejections must not
+change it.
 """
 
 import functools
@@ -222,3 +224,63 @@ def test_every_single_byte_registration_mutation_rejected_without_side_effects()
         raw = bytearray(honest)
         raw[i] ^= 0x80
         _assert_registration_rejected_untouched(bytes(raw))
+
+
+# --- update application, through UpdateMsg.decode ---
+
+
+@functools.lru_cache(maxsize=1)
+def _update_domain():
+    """A vehicle with one confirmed session and the update a rotation
+    minted for it, not yet applied."""
+    master = random.Random(0xF3)
+    lea = actors.Authority(random.Random(master.random()), Ledger())
+    rsm = actors.RegionManager(lea, random.Random(master.random()), "rsm1")
+    rsu = actors.RoadsideUnit(rsm, random.Random(master.random()), "rsu1")
+    vn = actors.Vehicle(b"VIN-FUZZ00000003", random.Random(master.random()), "vn3")
+    actors.register_vehicle(vn, rsm, lea, now=0)
+    actors.run_handover(vn, rsu, NOW)
+    epoch, [(_, _, update)] = actors.rotate_group_key(lea, [rsm], [rsu], [], NOW + 10)
+    return {"rsu": rsu, "vn": vn, "epoch": epoch, "upd": update.encode()}
+
+
+def _apply_update(d, data):
+    vn = d["vn"]
+    vn.apply_update(wire.UpdateMsg.decode(data), vn.sessions[d["rsu"].node_id].ks, d["epoch"], NOW + 10)
+
+
+def _vehicle_state(d):
+    vn = d["vn"]
+    return (vn.credential.pid, vn.credential.d, dict(vn.sessions))
+
+
+def _wrong_length_updates():
+    n = wire.UPDATE_LEN
+    honest = _update_domain()["upd"]
+    return st.one_of(
+        st.binary(max_size=2 * n).filter(lambda b: len(b) != n),
+        st.integers(0, n - 1).map(lambda k: honest[:k]),
+        st.binary(min_size=1, max_size=n).map(lambda extra: honest + extra),
+    )
+
+
+@FUZZ
+@given(data=_wrong_length_updates())
+def test_fuzzed_update_bytes_of_a_wrong_length_rejected_without_side_effects(data):
+    """Only the length is checked. An update of the right length is not
+    fuzzed here: ``UpdateMsg`` carries no integrity tag, so any 36 bytes
+    decrypt to some (pID, D) that ``apply_update`` installs, and the
+    vehicle learns only at its next handover. That is an open defect,
+    not behaviour this test accepts; a tag would change the wire bytes."""
+    d = _update_domain()
+    before = _vehicle_state(d)
+    with pytest.raises(wire.WireError):
+        _apply_update(d, data)
+    assert _vehicle_state(d) == before
+
+
+def test_the_fuzzed_update_is_one_step_from_an_applied_one():
+    d = _update_domain.__wrapped__()
+    _apply_update(d, d["upd"])
+    vn_ctx, rsu_ctx = actors.run_handover(d["vn"], d["rsu"], NOW + 20)
+    assert vn_ctx.ks == rsu_ctx.ks

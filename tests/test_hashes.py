@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -122,3 +123,25 @@ def test_fixed_layout_hashes_reject_out_of_range_scalars_like_the_oracle():
                     fn(*args)
     # scalars in [Q, 2^224) are not reduced, and encode like the oracle
     assert hashes.h4(Q + 3, b"m", 1) == _oracle(hashes.TAG_H4, ("scalar", "bytes", "ts"), [Q + 3, b"m", 1], "tag")
+
+
+def test_first_window_squeeze_matches_the_full_rejection_loop():
+    rng = random.Random(0x49)
+    for _ in range(10_000):
+        pre = rng.randbytes(rng.choice((0, 1, 28, 190, rng.randrange(300))))
+        assert hashes._scalar_from_preimage(pre) == hashes._scalar_from_stream(pre)
+
+
+def test_rejected_first_window_falls_back_to_the_loop(monkeypatch):
+    # with q near 2^223 about half the first windows are rejected, so the
+    # fallback runs; the full loop stays the reference
+    monkeypatch.setattr(hashes, "Q", 2**223 + 12345)
+    rng = random.Random(0x4A)
+    fell_back = 0
+    for _ in range(2_000):
+        pre = rng.randbytes(rng.randrange(100))
+        first = int.from_bytes(hashlib.shake_256(pre + bytes(4)).digest(28), "big")
+        fell_back += not 0 < first < hashes.Q
+        v = hashes._scalar_from_preimage(pre)
+        assert v == hashes._scalar_from_stream(pre) and 0 < v < hashes.Q
+    assert 800 < fell_back < 1200

@@ -1,5 +1,6 @@
-"""Stateful checks of the ledger's duplicate index and the RSU's session
-table, driven by Hypothesis rule-based state machines.
+"""Stateful checks of the ledger's duplicate index, the RSU's session
+table and the RSU's replay cache, driven by Hypothesis rule-based state
+machines.
 
 The ledger machine appends registrations and revocations at times that
 may go backwards and round-trips the log through a snapshot; the full
@@ -8,7 +9,9 @@ revoked commitment is never registered again. The RSU machine runs
 handovers (confirmed or not), revocations, rotations and a clock that
 passes the fleet's registration expiry on one roadside unit, and holds
 its verdicts and session table to a model of the latest confirmed
-session per live commitment.
+session per live commitment. The replay-cache machine records (pID, T1)
+keys on a clock that moves by steps around twice the freshness window,
+and holds the cache to a model of the keys seen within that horizon.
 """
 
 import copy
@@ -20,7 +23,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from v2xauth import actors
+from v2xauth import actors, wire
 from v2xauth import ledger as lg
 from v2xauth.crypto import curve
 
@@ -32,6 +35,7 @@ KEYS = [curve.point_compress(pt) for pt in POINTS]
 # only these may be revoked, so the others keep exercising the duplicate check
 REVOCABLE = st.integers(2, len(POINTS) - 1)
 TIMES = st.integers(min_value=0, max_value=120)
+FRESHNESS = actors.FRESHNESS_WINDOW_MS
 
 
 def oracle_live_registration(entries, ch_key: bytes, now: int):
@@ -221,6 +225,80 @@ class RsuSessionMachine(RuleBasedStateMachine):
             assert ctx is self.held[ch] and ctx.established and ctx.ch == ch
 
 
+PIDS = [bytes([i]) * wire.PID_LEN for i in range(1, 5)]
+
+
+@functools.lru_cache(maxsize=1)
+def _roadside_unit():
+    master = random.Random(0x5EEF)
+    lea = actors.Authority(random.Random(master.random()), lg.Ledger())
+    rsm = actors.RegionManager(lea, random.Random(master.random()), "rsm1")
+    return actors.RoadsideUnit(rsm, random.Random(master.random()), "rsu1")
+
+
+class ReplayCacheMachine(RuleBasedStateMachine):
+    """A recorded (pID, T1) is refused as a replay for twice the freshness
+    window; after the next record the cache holds no older key."""
+
+    def __init__(self):
+        super().__init__()
+        self.rsu = copy.deepcopy(_roadside_unit())
+        self.window = self.rsu.freshness_ms
+        self.horizon = 2 * self.window
+        self.now = 10 * self.horizon
+        self.last_record = None
+        self.seen: dict = {}  # (pid, wrapped t1) -> time of the latest record
+        self.junk = random.Random(0x5EF0).randbytes(wire.REQ_LEN - wire.PID_LEN - wire.TS_LEN)
+
+    def _held(self) -> set:
+        """The keys the cache must hold: those seen within the horizon of
+        the latest record (expiry runs when a key is recorded)."""
+        if self.last_record is None:
+            return set()
+        return {key for key, at in self.seen.items() if self.last_record - at <= self.horizon}
+
+    @rule(ms=st.one_of(st.integers(0, 3 * FRESHNESS), st.sampled_from([1, 2 * FRESHNESS, 2 * FRESHNESS + 1])))
+    def advance_clock(self, ms):
+        self.now += ms
+
+    @rule(p=st.integers(0, len(PIDS) - 1), skew=st.integers(-FRESHNESS, FRESHNESS))
+    def record(self, p, skew):
+        # a verified request's T1 lies within the freshness window of now
+        t1 = self.now + skew
+        self.rsu._record_seen(PIDS[p], t1, self.now)
+        self.seen[(PIDS[p], wire.ts_wrap(t1))] = self.now
+        self.last_record = self.now
+        assert self.rsu._replay_cache.keys() == self._held()
+
+    @rule(data=st.data())
+    def replay(self, data):
+        if not self.seen:
+            return
+        pid, t1 = data.draw(st.sampled_from(sorted(self.seen)))
+        replayed = (pid, t1) in self._held()
+        if self.now - self.seen[(pid, t1)] <= self.horizon:
+            assert replayed
+        if replayed:
+            with pytest.raises(actors.ReplayDetected):
+                self.rsu._check_replay(pid, t1)
+        else:
+            self.rsu._check_replay(pid, t1)
+        # the same key on request bytes, checked before the decode
+        request = pid + self.junk + t1.to_bytes(wire.TS_LEN, "big")
+        if abs(wire.ts_delta(self.now, t1)) > self.window:
+            expected = actors.StaleTimestamp
+        elif replayed:
+            expected = actors.ReplayDetected
+        else:
+            expected = (wire.WireError, actors.UnknownCredential)
+        with pytest.raises(expected):
+            self.rsu.handle_request(request, self.now)
+
+    @invariant()
+    def cache_holds_the_model(self):
+        assert self.rsu._replay_cache.keys() == self._held()
+
+
 TestLedgerMachine = LedgerMachine.TestCase
 TestLedgerMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
@@ -231,3 +309,6 @@ TestRsuSessionMachine.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+TestReplayCacheMachine = ReplayCacheMachine.TestCase
+TestReplayCacheMachine.settings = settings(max_examples=60, stateful_step_count=50, deadline=None)

@@ -161,3 +161,31 @@ def test_import_with_libcrypto_leaves_cryptography_unloaded():
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _both_backends(monkeypatch):
+    """This module on its loaded backend, and a fresh copy on the fallback."""
+    native = symmetric
+    monkeypatch.setattr(curve, "LIBCRYPTO", None)
+    fallback = _fresh_symmetric(monkeypatch)
+    assert fallback._aes_block is fallback._aes_block_cryptography
+    return native, fallback
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 33])
+def test_pid_encrypt_blocks_equals_one_pid_encrypt_per_block(monkeypatch, k):
+    rng = random.Random(0x58 + k)
+    for module in _both_backends(monkeypatch):
+        for _ in range(20):
+            b = rng.randrange(1, 2**224)
+            pds = [rng.randbytes(16) for _ in range(k)]
+            out = module.pid_encrypt_blocks(b, b"".join(pds))
+            assert out == b"".join(module.pid_encrypt(b, pd) for pd in pds)
+            assert out == b"".join(_cryptography_block(module.pid_cipher_key(b), pd, True) for pd in pds)
+
+
+def test_pid_encrypt_blocks_rejects_partial_blocks(monkeypatch):
+    for module in _both_backends(monkeypatch):
+        for n in (1, 15, 17, 31, 33 * 16 + 5):
+            with pytest.raises(ValueError):
+                module.pid_encrypt_blocks(1, bytes(n))
