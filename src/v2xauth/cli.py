@@ -131,7 +131,7 @@ def cmd_bench(args) -> int:
         ("interval", "offered", "served", "dropped", "loss_ratio"),
         loss_rows,
         comments=(
-            "loss model: deadline queue; a request unserved when its interval closes is dropped",
+            f"loss model: deadline queue; a request not started within {actors.FRESHNESS_WINDOW_MS} ms of arrival is dropped",
             f"offered rate {args.rate}/s, interval {interval_ms} ms",
             capacity_note,
         ),

@@ -28,15 +28,22 @@ package calls from one signature table, and keeps the handle as
 ``LIBCRYPTO`` (``None`` when it does not load); ``symmetric`` runs its
 pseudonym AES block on the same handle.  When the library provides
 secp224r1, reproduces the generator and gives the known inverse of 2
-through ``BN_mod_exp``, ``msm2`` is bound to ``EC_POINT_mul`` and the
-exponentiation to ``BN_mod_exp``.  Otherwise ``msm2`` is the pure-Python
-window-NAF loop ``_msm2_py`` and the exponentiation Python's ``pow``;
-both also stay the references that the tests hold the native paths to.
-``BACKEND`` names the path in use (``"libcrypto"`` or
+through ``BN_mod_exp_mont``, ``msm2`` is bound to ``EC_POINT_mul`` and
+the exponentiation to ``BN_mod_exp_mont``.  Otherwise ``msm2`` is the
+pure-Python window-NAF loop ``_msm2_py`` and the exponentiation Python's
+``pow``; both also stay the references that the tests hold the native
+paths to.  ``BACKEND`` names the path in use (``"libcrypto"`` or
 ``"pure-python"``).  Both paths return identical results, including
 ``None`` for the identity.  The ``msm2`` fallback is built from the same
 Jacobian formulas as the ladder and costs about 3 ms a call on a shared
-2-core x86-64 host (Python 3.11), where libcrypto takes 0.1-0.2 ms.
+2-core x86-64 host (Python 3.11), where libcrypto takes 0.2 ms.
+
+The native calls work in a per-thread ``_Scratch``: a BN_CTX, the
+bignums, the two points ``msm2`` needs, an output buffer and a
+Montgomery context for P, created on a thread's first call and freed
+when the thread ends.  No native object is used by two threads, and no
+call allocates.  Allocating per call cost about 10 us of an ``msm2`` and
+12 us of a 36 us exponentiation, the Montgomery set-up included.
 
 Decoding a 28-byte x-only point needs a field square root (``solve_y``).
 P - 1 = 2^96 * (2^128 - 1), the worst case for Tonelli-Shanks, so
@@ -50,6 +57,7 @@ Tonelli-Shanks took 2.1-2.3 ms.
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass
 
 Point = "tuple[int, int] | None"  # affine point, None is the identity O
@@ -320,21 +328,23 @@ _INT = ctypes.c_int
 _LIBCRYPTO_SIGNATURES = (
     ("EC_GROUP_new_by_curve_name", _VP, (_INT,)),
     ("BN_CTX_new", _VP, ()),
-    ("BN_CTX_start", None, (_VP,)),
-    ("BN_CTX_get", _VP, (_VP,)),
-    ("BN_CTX_end", None, (_VP,)),
     ("BN_CTX_free", None, (_VP,)),
+    ("BN_new", _VP, ()),
+    ("BN_free", None, (_VP,)),
     ("BN_bin2bn", _VP, (ctypes.c_char_p, _INT, _VP)),
     ("BN_bn2binpad", _INT, (_VP, _VP, _INT)),
+    ("BN_MONT_CTX_new", _VP, ()),
+    ("BN_MONT_CTX_set", _INT, (_VP, _VP, _VP)),
+    ("BN_MONT_CTX_free", None, (_VP,)),
+    ("BN_mod_exp_mont", _INT, (_VP, _VP, _VP, _VP, _VP, _VP)),
     ("EC_POINT_new", _VP, (_VP,)),
     ("EC_POINT_free", None, (_VP,)),
     ("EC_POINT_set_affine_coordinates", _INT, (_VP, _VP, _VP, _VP, _VP)),
     ("EC_POINT_get_affine_coordinates", _INT, (_VP, _VP, _VP, _VP, _VP)),
     ("EC_POINT_is_at_infinity", _INT, (_VP, _VP)),
     ("EC_POINT_mul", _INT, (_VP, _VP, _VP, _VP, _VP, _VP)),
-    ("BN_mod_exp", _INT, (_VP, _VP, _VP, _VP, _VP)),
     ("ERR_clear_error", None, ()),
-    # symmetric.pid_encrypt / pid_decrypt: one AES-128-ECB block
+    # symmetric.pid_encrypt / pid_decrypt: AES-128-ECB blocks
     ("EVP_CIPHER_CTX_new", _VP, ()),
     ("EVP_CIPHER_CTX_free", None, (_VP,)),
     ("EVP_aes_128_ecb", _VP, ()),
@@ -365,14 +375,78 @@ def _secp224r1(lib):
     return (lib, group) if group else None
 
 
+_P_BYTES = P.to_bytes(COORD_BYTES, "big")
+
+
+class _Scratch:
+    """One thread's native working set for ``msm2`` and ``_pow_p``.
+
+    A BN_CTX, the bignums both calls fill, the two points ``msm2`` needs,
+    a 56-byte output buffer and a Montgomery context for P, set up once.
+    Every call overwrites what it reads, so nothing carries from one call
+    to the next. Only the thread that created it ever uses it (see
+    ``_scratch``): ctypes releases the GIL inside each native call, so a
+    scratch shared between threads would need a lock held across
+    ``EC_POINT_mul``. The native objects are freed when the thread's
+    scratch is collected, at the latest when the thread ends.
+    """
+
+    __slots__ = ("lib", "ctx", "bns", "points", "mont", "out", "out_hi")
+
+    def __init__(self, lib, group):
+        self.lib = lib
+        self.ctx = self.mont = None
+        self.bns = self.points = ()
+        self.ctx = lib.BN_CTX_new()
+        # msm2 fills the first four as m, gamma, x, y; _pow_p the first
+        # three as result, base, exponent; the fifth holds P
+        self.bns = tuple(lib.BN_new() for _ in range(5))
+        self.points = (lib.EC_POINT_new(group), lib.EC_POINT_new(group))
+        self.mont = lib.BN_MONT_CTX_new()
+        if not (self.ctx and all(self.bns) and all(self.points) and self.mont):
+            raise MemoryError("libcrypto allocation failed")
+        bn_p = self.bns[4]
+        lib.BN_bin2bn(_P_BYTES, COORD_BYTES, bn_p)
+        if not lib.BN_MONT_CTX_set(self.mont, bn_p, self.ctx):
+            raise RuntimeError("BN_MONT_CTX_set failed")
+        self.out = ctypes.create_string_buffer(2 * COORD_BYTES)
+        self.out_hi = ctypes.addressof(self.out) + COORD_BYTES
+
+    def __del__(self):
+        lib = self.lib
+        for pt in self.points:
+            lib.EC_POINT_free(pt)
+        for bn in self.bns:
+            lib.BN_free(bn)
+        lib.BN_MONT_CTX_free(self.mont)
+        lib.BN_CTX_free(self.ctx)
+
+
+_TLS = threading.local()
+
+
+def _scratch() -> _Scratch:
+    """This thread's scratch, created on its first call."""
+    try:
+        return _TLS.scratch
+    except AttributeError:
+        _TLS.scratch = _Scratch(*_LIBCRYPTO)
+        return _TLS.scratch
+
+
+def _release_scratch():
+    """Free this thread's scratch now, if it has one."""
+    _TLS.__dict__.pop("scratch", None)
+
+
 def _msm2_libcrypto(m: int, gamma: int, a_pt):
     """Return ``m*GEN + gamma*a_pt`` through libcrypto's ``EC_POINT_mul``.
 
-    The EC_GROUP is created once and only read afterwards; each call
-    allocates and frees its own BN_CTX (which owns the call's bignums)
-    and points, so concurrent calls share no scratch state. A point
-    libcrypto refuses (not on the curve) goes to the reference path,
-    which defines the result for such input.
+    The EC_GROUP is created once and only read afterwards; the bignums,
+    points and BN_CTX come from this thread's ``_Scratch``, so no native
+    object is used by two threads. A point libcrypto refuses (not on the
+    curve) goes to the reference path, which defines the result for such
+    input.
     """
     m %= Q
     gamma %= Q
@@ -380,79 +454,53 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
         if m == 0:
             return None
         gamma = 0
-    lib, group = _LIBCRYPTO
-    ctx = lib.BN_CTX_new()
-    if not ctx:
-        raise MemoryError("BN_CTX_new failed")
-    a = r = None
-    try:
-        lib.BN_CTX_start(ctx)
-        bn_m, bn_g, bn_x, bn_y = (lib.BN_CTX_get(ctx) for _ in range(4))
-        r = lib.EC_POINT_new(group)
-        if not (bn_y and r):
-            raise MemoryError("libcrypto allocation failed")
-        if m:
-            lib.BN_bin2bn(m.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, bn_m)
-        if gamma:
-            a = lib.EC_POINT_new(group)
-            if not a:
-                raise MemoryError("EC_POINT_new failed")
-            lib.BN_bin2bn(a_pt[0].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_x)
-            lib.BN_bin2bn(a_pt[1].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_y)
-            if not lib.EC_POINT_set_affine_coordinates(group, a, bn_x, bn_y, ctx):
-                lib.ERR_clear_error()
-                return _msm2_py(m, gamma, a_pt)
-            lib.BN_bin2bn(gamma.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, bn_g)
-        if not lib.EC_POINT_mul(group, r, bn_m if m else None, a, bn_g if gamma else None, ctx):
-            raise RuntimeError("EC_POINT_mul failed")
-        if lib.EC_POINT_is_at_infinity(group, r):
-            return None
-        if not lib.EC_POINT_get_affine_coordinates(group, r, bn_x, bn_y, ctx):
-            raise RuntimeError("EC_POINT_get_affine_coordinates failed")
-        out = ctypes.create_string_buffer(2 * COORD_BYTES)
-        lib.BN_bn2binpad(bn_x, out, COORD_BYTES)
-        lib.BN_bn2binpad(bn_y, ctypes.byref(out, COORD_BYTES), COORD_BYTES)
-        raw = out.raw
-        return (int.from_bytes(raw[:COORD_BYTES], "big"), int.from_bytes(raw[COORD_BYTES:], "big"))
-    finally:
-        lib.EC_POINT_free(a)
-        lib.EC_POINT_free(r)
-        lib.BN_CTX_end(ctx)
-        lib.BN_CTX_free(ctx)
-
-
-_P_BYTES = P.to_bytes(COORD_BYTES, "big")
+    group = _LIBCRYPTO[1]
+    s = _scratch()
+    lib, ctx, out = s.lib, s.ctx, s.out
+    bn_m, bn_g, bn_x, bn_y, _ = s.bns
+    a, r = s.points
+    if m:
+        lib.BN_bin2bn(m.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, bn_m)
+    else:
+        bn_m = None
+    if gamma:
+        lib.BN_bin2bn(a_pt[0].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_x)
+        lib.BN_bin2bn(a_pt[1].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_y)
+        if not lib.EC_POINT_set_affine_coordinates(group, a, bn_x, bn_y, ctx):
+            lib.ERR_clear_error()
+            return _msm2_py(m, gamma, a_pt)
+        lib.BN_bin2bn(gamma.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, bn_g)
+    else:
+        a = bn_g = None
+    if not lib.EC_POINT_mul(group, r, bn_m, a, bn_g, ctx):
+        raise RuntimeError("EC_POINT_mul failed")
+    if lib.EC_POINT_is_at_infinity(group, r):
+        return None
+    if not lib.EC_POINT_get_affine_coordinates(group, r, bn_x, bn_y, ctx):
+        raise RuntimeError("EC_POINT_get_affine_coordinates failed")
+    lib.BN_bn2binpad(bn_x, out, COORD_BYTES)
+    lib.BN_bn2binpad(bn_y, s.out_hi, COORD_BYTES)
+    raw = out.raw
+    return (int.from_bytes(raw[:COORD_BYTES], "big"), int.from_bytes(raw[COORD_BYTES:], "big"))
 
 
 def _pow_p_libcrypto(n: int, e: int) -> int:
-    """Return ``n^e mod P`` through libcrypto's ``BN_mod_exp``, for n in
-    [0, 2^224) and e >= 0; the library reduces an n >= P.
+    """Return ``n^e mod P`` through libcrypto's ``BN_mod_exp_mont``, for n
+    in [0, 2^224) and e >= 0; the library reduces an n >= P.
 
-    Like ``_msm2_libcrypto``, each call allocates and frees its own
-    BN_CTX, which owns the call's bignums, so concurrent calls share no
-    scratch state.
+    The bignums, BN_CTX and the Montgomery context for P come from this
+    thread's ``_Scratch``, like ``_msm2_libcrypto``'s.
     """
-    lib = _LIBCRYPTO[0]
-    ctx = lib.BN_CTX_new()
-    if not ctx:
-        raise MemoryError("BN_CTX_new failed")
-    try:
-        lib.BN_CTX_start(ctx)
-        bn_r, bn_n, bn_e, bn_p = (lib.BN_CTX_get(ctx) for _ in range(4))
-        if not bn_p:
-            raise MemoryError("libcrypto allocation failed")
-        e_bytes = e.to_bytes((e.bit_length() + 7) // 8, "big")
-        lib.BN_bin2bn(n.to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_n)
-        lib.BN_bin2bn(e_bytes, len(e_bytes), bn_e)
-        lib.BN_bin2bn(_P_BYTES, COORD_BYTES, bn_p)
-        if not lib.BN_mod_exp(bn_r, bn_n, bn_e, bn_p, ctx):
-            raise RuntimeError("BN_mod_exp failed")
-        out = ctypes.create_string_buffer(COORD_BYTES)
-        lib.BN_bn2binpad(bn_r, out, COORD_BYTES)
-        return int.from_bytes(out.raw, "big")
-    finally:
-        lib.BN_CTX_end(ctx)
-        lib.BN_CTX_free(ctx)
+    s = _scratch()
+    lib = s.lib
+    bn_r, bn_n, bn_e, _, bn_p = s.bns
+    e_bytes = e.to_bytes((e.bit_length() + 7) // 8, "big")
+    lib.BN_bin2bn(n.to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_n)
+    lib.BN_bin2bn(e_bytes, len(e_bytes), bn_e)
+    if not lib.BN_mod_exp_mont(bn_r, bn_n, bn_e, bn_p, s.ctx, s.mont):
+        raise RuntimeError("BN_mod_exp_mont failed")
+    lib.BN_bn2binpad(bn_r, s.out, COORD_BYTES)
+    return int.from_bytes(s.out.raw[:COORD_BYTES], "big")
 
 
 def _pow_p_py(n: int, e: int) -> int:
@@ -462,12 +510,14 @@ def _pow_p_py(n: int, e: int) -> int:
 
 LIBCRYPTO = _load_libcrypto()  # the handle; symmetric reuses it
 _LIBCRYPTO = _secp224r1(LIBCRYPTO)
-if _LIBCRYPTO is not None and (
-    _msm2_libcrypto(1, 0, None) != GEN or _pow_p_libcrypto(2, P - 2) != (P + 1) // 2
-):
+if _LIBCRYPTO is not None:
     # a library whose secp224r1 or field arithmetic disagrees with the
-    # parameters above is not used
-    _LIBCRYPTO = None
+    # parameters above is not used; the check leaves no scratch behind
+    try:
+        if _msm2_libcrypto(1, 0, None) != GEN or _pow_p_libcrypto(2, P - 2) != (P + 1) // 2:
+            _LIBCRYPTO = None
+    finally:
+        _release_scratch()
 if _LIBCRYPTO is None:
     msm2 = _msm2_py
     _pow_p = _pow_p_py
@@ -528,14 +578,14 @@ def sqrt_mod_p(n: int):
       n^((P-1)/2) = g^(e * 2^95) = -1; otherwise x * g^(-e/2) squares
       to n * u * g^(-e) = n.
 
-    The exponentiation runs on libcrypto's ``BN_mod_exp`` when the
+    The exponentiation runs on libcrypto's ``BN_mod_exp_mont`` when the
     library loaded (``_pow_p``). The 88 squarings and the digit loop stay
     in Python: running the chain through ``BN_mod_exp`` as well was
     measured at 83-109 us against about 82 us, the marshalling eating
     the gain.
 
     Measured as thread CPU time on a shared 2-core x86-64 host (Python
-    3.11): the exponentiation takes 20-33 us through ``BN_mod_exp``,
+    3.11): the exponentiation takes about 24 us on the thread's scratch,
     ctypes marshalling included, against 90-103 us with ``pow``; a root
     of a residue 0.13-0.17 ms (0.23 ms with ``pow``, 2.1-2.3 ms with
     Tonelli-Shanks); a non-residue 0.08 ms (0.16 ms with ``pow``). The

@@ -5,6 +5,7 @@ acceptance suite's hardware-dependent criterion.
 
 import math
 
+from v2xauth import actors
 from v2xauth.simnet import bench
 
 
@@ -38,6 +39,49 @@ def test_partial_interval_is_its_own_row():
         assert [r[1] for r in rows] == offered
         for _, offered_n, served, dropped, _ in rows:
             assert served + dropped == offered_n
+
+
+class _FakeClock:
+    """Stands in for ``bench.time``: time moves 1 us per clock read and by
+    each sleep, plus one stall of ``stall_ms`` on the first sleep that
+    reaches ``stall_at_ms`` after the first read."""
+
+    def __init__(self, stall_at_ms, stall_ms):
+        self.ns = 0
+        self.start_ns = None
+        self.stall_at_ms = stall_at_ms
+        self.stall_ms = stall_ms
+
+    def perf_counter_ns(self):
+        self.ns += 1_000
+        if self.start_ns is None:
+            self.start_ns = self.ns
+        return self.ns
+
+    def sleep(self, seconds):
+        self.ns += round(seconds * 1e9)
+        if self.stall_ms and self.ns - self.start_ns >= self.stall_at_ms * 1_000_000:
+            self.ns += self.stall_ms * 1_000_000
+            self.stall_ms = 0
+
+
+def test_short_stall_at_an_interval_end_loses_nothing(monkeypatch):
+    # 100/s: the last arrival of the first interval is at 990 ms, and a
+    # 50 ms stall starts it at 1,040 ms, after its interval closed but
+    # well inside the freshness window
+    monkeypatch.setattr(bench, "time", _FakeClock(stall_at_ms=990, stall_ms=50))
+    rows, _ = bench.bench_loss_ratio(100, 2000)
+    assert [r[1:4] for r in rows] == [(100, 100, 0), (100, 100, 0)]
+
+
+def test_stall_longer_than_the_freshness_window_loses_the_request(monkeypatch):
+    # the loop resumes at 1,585 ms: the stalled request and every later
+    # one that has waited more than the window by then (arrivals 990
+    # through 1,080 ms) are lost; the arrival at 1,090 ms is served
+    stall_ms = actors.FRESHNESS_WINDOW_MS + 95
+    monkeypatch.setattr(bench, "time", _FakeClock(stall_at_ms=990, stall_ms=stall_ms))
+    rows, _ = bench.bench_loss_ratio(100, 2000)
+    assert [r[1:4] for r in rows] == [(100, 99, 1), (100, 91, 9)]
 
 
 def test_forced_saturation_drops_requests():

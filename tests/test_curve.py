@@ -13,7 +13,7 @@ only when the library did not load.
 ``sqrt_mod_p`` is a table-driven discrete log; the Tonelli-Shanks square
 root it replaced lives here as its oracle, with Euler's criterion as the
 residuosity verdict. Its one big exponentiation runs on libcrypto's
-``BN_mod_exp`` when the library loaded; Python's ``pow`` is the
+``BN_mod_exp_mont`` when the library loaded; Python's ``pow`` is the
 reference that path is held to, and the fallback.
 """
 
@@ -237,6 +237,55 @@ def test_msm2_libcrypto_concurrent_calls_match_reference():
         assert got == expected * 8
 
 
+@needs_libcrypto
+def test_msm2_libcrypto_reused_scratch_carries_nothing_between_calls():
+    # every ordered pair of a zero term, an identity result and a random
+    # instance, back to back on this thread's scratch
+    rng = random.Random(0xEC + 12)
+    a = curve.rand_nonzero_scalar(rng)
+    a_pt = curve.scalar_mul(GEN, a)
+    m = curve.rand_nonzero_scalar(rng)
+    g = curve.rand_nonzero_scalar(rng)
+    cases = [
+        (0, g, a_pt),  # m = 0
+        (m, 0, a_pt),  # gamma = 0
+        (0, 0, a_pt),
+        ((-g * a) % Q, g, a_pt),  # identity
+        (rng.randrange(Q), rng.randrange(Q), a_pt),
+        (rng.randrange(Q), rng.randrange(Q), curve.point_neg(a_pt)),
+    ]
+    expected = [curve._msm2_py(*case) for case in cases]
+    for i, first in enumerate(cases):
+        for j, second in enumerate(cases):
+            assert curve._msm2_libcrypto(*first) == expected[i], first
+            assert curve._msm2_libcrypto(*second) == expected[j], (first, second)
+
+
+@needs_libcrypto
+def test_msm2_libcrypto_recovers_after_an_off_curve_point():
+    rng = random.Random(0xEC + 13)
+    a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+    off = (GEN[0], (GEN[1] + 1) % P)
+    assert not curve.is_on_curve(off)
+    scratch = curve._scratch()
+    for _ in range(3):
+        m, g = rng.randrange(1, Q), rng.randrange(1, Q)
+        # refused by libcrypto, answered by the reference path
+        assert curve._msm2_libcrypto(m, g, off) == curve._msm2_py(m, g, off)
+        assert curve._msm2_libcrypto(m, g, a_pt) == curve._msm2_py(m, g, a_pt)
+    assert curve._scratch() is scratch
+
+
+@needs_libcrypto
+def test_import_self_check_leaves_no_scratch(monkeypatch):
+    spec = importlib.util.spec_from_file_location("_curve_fresh_copy", curve.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fresh)  # dataclasses look it up
+    spec.loader.exec_module(fresh)
+    assert fresh.BACKEND == "libcrypto"
+    assert "scratch" not in vars(fresh._TLS)
+
+
 def _curve_without_libcrypto(monkeypatch):
     """A fresh copy of the module, imported while ``ctypes.CDLL`` fails."""
 
@@ -432,6 +481,20 @@ def test_pow_p_libcrypto_concurrent_calls_match_reference():
     assert sorted(results) == [0, 1, 2, 3]
     for got in results.values():
         assert got == expected * 8
+
+
+@needs_libcrypto
+def test_pow_p_libcrypto_edge_inputs_and_seeded_pairs():
+    # the Montgomery context and bignums are reused from call to call, so
+    # edges run back to back with random pairs on one thread's scratch
+    for n in (0, 1, P - 1, P, 2**224 - 1):
+        for e in (0, 1, P - 2, curve._SQRT_EXP):
+            assert curve._pow_p_libcrypto(n, e) == pow(n, e, P), (n, e)
+    rng = random.Random(0xEC + 17)
+    for _ in range(10_000):
+        n = rng.randrange(2**224)
+        e = rng.randrange(2 ** rng.randrange(1, 257))
+        assert curve._pow_p_libcrypto(n, e) == pow(n, e, P), (n, e)
 
 
 def test_sqrt_mod_p_falls_back_to_python_pow_without_libcrypto(monkeypatch):

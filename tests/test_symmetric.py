@@ -2,8 +2,10 @@ import hashlib
 import importlib.util
 import os
 import random
+import gc
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2xauth.crypto import curve, hashes, symmetric
+from v2xauth.crypto.curve import GEN
 
 SRC = Path(symmetric.__file__).resolve().parents[2]
 # sym_encrypt(b"k" * 20, b"p" * 32, b"ctx") as the byte-wise XOR over an
@@ -189,3 +192,122 @@ def test_pid_encrypt_blocks_rejects_partial_blocks(monkeypatch):
         for n in (1, 15, 17, 31, 33 * 16 + 5):
             with pytest.raises(ValueError):
                 module.pid_encrypt_blocks(1, bytes(n))
+
+
+needs_libcrypto_aes = pytest.mark.skipif(
+    symmetric._aes_block is not symmetric._aes_block_libcrypto, reason="the pseudonym AES runs on the fallback"
+)
+
+
+@needs_libcrypto_aes
+def test_pid_cipher_concurrent_calls_match_cryptography():
+    # six keys against a four-context cache: every thread also evicts,
+    # so each thread's cache must stay its own
+    rng = random.Random(0x59)
+    cases = []
+    for _ in range(60):
+        b = rng.randrange(1, 7)
+        pd = rng.randbytes(16)
+        blocks = rng.randbytes(16 * rng.randrange(2, 9))
+        key = symmetric.pid_cipher_key(b)
+        cases.append((b, pd, blocks, key))
+    expected = [
+        (
+            _cryptography_block(key, pd, True),
+            _cryptography_block(key, pd, False),
+            _cryptography_block(key, blocks, True),
+        )
+        for b, pd, blocks, key in cases
+    ]
+    results = {}
+
+    def worker(tid):
+        got = []
+        for _ in range(8):
+            for b, pd, blocks, _ in cases:
+                got.append(
+                    (
+                        symmetric.pid_encrypt(b, pd),
+                        symmetric.pid_decrypt(b, pd),
+                        symmetric.pid_encrypt_blocks(b, blocks),
+                    )
+                )
+            assert len(symmetric._evp_cache().contexts) <= symmetric._EvpCache.LIMIT
+        results[tid] = got
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert got == expected * 8
+
+
+def _live_scratch():
+    return sum(type(o) in (curve._Scratch, symmetric._EvpCache) for o in gc.get_objects())
+
+
+@needs_libcrypto_aes
+@pytest.mark.skipif(curve._LIBCRYPTO is None, reason="libcrypto.so.3 with secp224r1 did not load")
+def test_short_lived_threads_free_their_native_scratch(monkeypatch):
+    lib = curve.LIBCRYPTO
+    freed = {"BN_CTX_free": 0, "EVP_CIPHER_CTX_free": 0}
+    for name in freed:
+        original = getattr(lib, name)
+
+        def counting(ptr, name=name, original=original):
+            freed[name] += 1
+            original(ptr)
+
+        monkeypatch.setattr(lib, name, counting)
+    a_pt = curve.scalar_mul(GEN, 0x5EED)
+    pid = bytes(16)
+    expected = (
+        curve._msm2_py(3, 5, a_pt),
+        pow(7, curve._SQRT_EXP, curve.P),
+        _cryptography_block(symmetric.pid_cipher_key(9), pid, False),
+    )
+    results = []
+
+    def worker():
+        results.append((curve.msm2(3, 5, a_pt), curve._pow_p(7, curve._SQRT_EXP), symmetric.pid_decrypt(9, pid)))
+
+    gc.collect()
+    baseline = _live_scratch()
+    threads = [threading.Thread(target=worker) for _ in range(50)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 50
+    # a thread's scratch and cipher contexts go when the thread ends
+    assert _live_scratch() == baseline
+    assert freed == {"BN_CTX_free": 50, "EVP_CIPHER_CTX_free": 50}
+
+
+@needs_libcrypto_aes
+def test_import_self_check_leaves_no_cipher_context_cached(monkeypatch):
+    fresh = _fresh_symmetric(monkeypatch)
+    assert fresh._aes_block is fresh._aes_block_libcrypto
+    assert "evp" not in vars(fresh._TLS)
+
+
+@needs_libcrypto_aes
+def test_evp_cache_frees_the_oldest_context_first():
+    cache = symmetric._EvpCache(curve.LIBCRYPTO)
+    keys = [bytes([i]) * 16 for i in range(6)]
+    for key in keys:
+        cache.context(key, True)
+    assert list(cache.contexts) == [(key, True) for key in keys[-4:]]
+    hit = cache.contexts[keys[-1], True]
+    assert cache.context(keys[-1], True) == hit
+    assert len(cache.contexts) == symmetric._EvpCache.LIMIT
