@@ -153,7 +153,6 @@ class SessionContext:
     ch: "tuple[int, int] | None" = None
     t_exp: int = 0  # the commitment's registration expiry
     established: bool = False
-    used_inline_point: bool = False
 
     def close(self) -> None:
         self.beta_own = 0
@@ -332,7 +331,7 @@ class RegionManager:
         """
         gs = self.group_secret
         pds = self.rng.randbytes(symmetric.PID_LEN * n)
-        pids = symmetric.pid_encrypt_blocks(gs.b, pds)
+        pids = symmetric.pid_encrypt(gs.b, pds)
         pairs = []
         for i in range(0, len(pds), symmetric.PID_LEN):
             pd, pid = pds[i : i + symmetric.PID_LEN], pids[i : i + symmetric.PID_LEN]
@@ -448,6 +447,11 @@ class RoadsideUnit:
             raise
 
     def handle_ack(self, ctx: SessionContext, ack_bytes: bytes, now: int) -> SessionContext:
+        # a replayed ACK must not confirm the session again, nor put a
+        # session dropped since (revoked, expired) back in the table
+        if ctx.established:
+            _emit(self.event_sink, now, self.node_id, "confirm", "ReplayDetected")
+            raise ReplayDetected("session already confirmed")
         ack = AuthAck.decode(ack_bytes)
         expected = hashes.h6(ctx.m_secret, ctx.ks, ctx.req_bytes, ctx.rep_bytes)
         if ack.ack != expected:
@@ -570,10 +574,10 @@ class Vehicle:
     def _take_blinded_point(self):
         pool = self.credential.pool
         if pool:
-            return pool.pop(), False
-        # pool exhausted: compute inline, flagged so benchmarks can tell
+            return pool.pop()
+        # pool exhausted: compute inline, counted so benchmarks can tell
         self.inline_point_uses += 1
-        return self._draw_blinded_point(), True
+        return self._draw_blinded_point()
 
     def start_handover(self, rsu_pk, now: int) -> "tuple[AuthRequest, SessionContext]":
         cred = self.credential
@@ -581,7 +585,7 @@ class Vehicle:
             raise ProtocolError("not registered")
         if cred.t_exp <= now:
             raise ExpiredWindow("credential expired; re-register")
-        (alpha, a_pt), inline = self._take_blinded_point()
+        alpha, a_pt = self._take_blinded_point()
         beta = curve.rand_nonzero_scalar(self.rng)
         t1 = now
         s1 = symmetric.sym_encrypt(cred.d, curve.scalar_to_bytes(beta), _s1_context(t1))
@@ -589,12 +593,7 @@ class Vehicle:
         r = alpha * gamma % Q
         m = (cred.trapdoor.k - r * cred.trapdoor.x) % Q
         request = AuthRequest(pid=cred.pid, m=m, a_point=a_pt, s1=s1, t1=t1)
-        ctx = SessionContext(
-            t1=t1,
-            beta_own=beta,
-            req_bytes=request.encode(),
-            used_inline_point=inline,
-        )
+        ctx = SessionContext(t1=t1, beta_own=beta, req_bytes=request.encode())
         _emit(self.event_sink, now, self.node_id, "start_handover", "ok")
         return request, ctx
 

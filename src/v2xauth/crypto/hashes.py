@@ -9,22 +9,17 @@ KDF/MAC, signature digest).
 
 Output kinds:
 
-* scalar hashes (h0, h2) produce an element of Z_q*, obtained by
-  rejection-sampling 28-byte windows of the XOF stream;
+* scalar hashes (h0, h2, the signature digest) produce an element of
+  Z_q*, obtained by rejection-sampling 28-byte windows of the XOF stream;
 * string hashes (h1, h3..h6) produce 20-byte tags (the security
   parameter, 160 bits).
 
-Arguments are passed as Python values and serialized canonically:
-``int`` scalars as 28-byte big-endian, points in 29-byte compressed
-form, ``bytes`` verbatim. Timestamps travel as ints and are encoded as
-4-byte big-endian words.
-
-``encode_preimage`` serializes any argument list by type. h1-h6 and the
-keystream, which run a dozen times per handover, build the same bytes
-from a fixed field layout instead, and ``encode_preimage`` is the oracle the tests hold
-them to. Measured as thread CPU time on a shared 2-core x86-64 host
-(Python 3.11), a tag hash takes 2-5 us a call and h2 6-8 us, against
-6-11 us through ``encode_preimage``; SHAKE-256 itself is about 2 us.
+Each function below lays out its own preimage field by field; no other
+module knows the format. A type-dispatching encoder in the tests
+(``tests/preimage_oracle.py``) is the oracle every layout is held to.
+Measured as thread CPU time on a shared 2-core x86-64 host (Python
+3.11), a tag hash takes 2-5 us a call and h2 6-8 us, against 6-11 us
+through such an encoder; SHAKE-256 itself is about 2 us.
 """
 
 from __future__ import annotations
@@ -61,31 +56,15 @@ HASH_FAMILY = {
 }
 
 
-def _encode_arg(arg) -> bytes:
-    if isinstance(arg, (bytes, bytearray)):
-        raw = bytes(arg)
-    elif isinstance(arg, int):
-        raw = arg.to_bytes(SCALAR_BYTES, "big")
-    elif arg is None or isinstance(arg, tuple):
-        raw = point_compress(arg)
-    else:
-        raise TypeError(f"unhashable protocol argument: {type(arg)!r}")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def encode_preimage(tag: int, args) -> bytes:
-    """Tag byte plus length-prefixed arguments; injective across tags."""
-    return bytes([tag]) + b"".join(_encode_arg(a) for a in args)
-
-
-def xof_bytes(tag: int, args, n: int) -> bytes:
-    return hashlib.shake_256(encode_preimage(tag, args)).digest(n)
+def xof_bytes(pre: bytes, n: int) -> bytes:
+    """``n`` bytes of SHAKE-256 over a finished preimage."""
+    return hashlib.shake_256(pre).digest(n)
 
 
 _COUNTER_0 = (0).to_bytes(4, "big")
 
 
-def _scalar_from_preimage(pre: bytes) -> int:
+def hash_to_scalar(pre: bytes) -> int:
     """Element of Z_q* via rejection sampling over the XOF stream of ``pre``.
 
     q is within 2^-112 of 2^224, so the first 28-byte window is accepted
@@ -102,7 +81,7 @@ def _scalar_from_preimage(pre: bytes) -> int:
 
 def _scalar_from_stream(pre: bytes) -> int:
     """The full rejection loop: eight windows per squeeze, then the counter
-    re-seeds; the reference ``_scalar_from_preimage`` is held to."""
+    re-seeds; the reference ``hash_to_scalar`` is held to."""
     counter = 0
     while True:
         stream = hashlib.shake_256(pre + counter.to_bytes(4, "big")).digest(SCALAR_BYTES * 8)
@@ -113,20 +92,20 @@ def _scalar_from_stream(pre: bytes) -> int:
         counter += 1
 
 
-def hash_to_scalar(tag: int, args) -> int:
-    """Element of Z_q* from the preimage of ``args`` under ``tag``."""
-    return _scalar_from_preimage(encode_preimage(tag, args))
-
-
-# Fixed-layout preimages: each field of h1-h6 is a 4-byte length, then a
-# bytes argument verbatim, an int as a 28-byte scalar (OverflowError
-# outside [0, 2^224)), a point compressed to 29 bytes (29 zero bytes for
-# None) or a timestamp as a 4-byte word, as encode_preimage gives them.
+# Fixed-layout preimages: each field is a 4-byte length, then a bytes
+# argument verbatim, an int as a 28-byte scalar (OverflowError outside
+# [0, 2^224)), a point compressed to 29 bytes (29 zero bytes for None)
+# or a timestamp as a 4-byte word.
 _SCALAR_LEN = SCALAR_BYTES.to_bytes(4, "big")
 _POINT_LEN = (29).to_bytes(4, "big")
 _TS_LEN = (4).to_bytes(4, "big")
-_TAG_H1, _TAG_H2, _TAG_H3, _TAG_H4, _TAG_H5, _TAG_H6 = (bytes([t]) for t in range(TAG_H1, TAG_H6 + 1))
-_TAG_KEYSTREAM = bytes([TAG_KEYSTREAM])
+_TAG_H0, _TAG_H1, _TAG_H2, _TAG_H3, _TAG_H4, _TAG_H5, _TAG_H6 = (bytes([t]) for t in range(TAG_H0, TAG_H6 + 1))
+_TAG_PID_KDF, _TAG_KEYSTREAM, _TAG_HYBRID_KDF, _TAG_SIG_DIGEST = (
+    bytes([t]) for t in (TAG_PID_KDF, TAG_KEYSTREAM, TAG_HYBRID_KDF, TAG_SIG_DIGEST)
+)
+# the hybrid KDF's two inputs start with a label field
+_KEYS_LABEL = (4).to_bytes(4, "big") + b"keys"
+_MAC_LABEL = (3).to_bytes(4, "big") + b"mac"
 
 
 def _ts(t: int) -> bytes:
@@ -135,7 +114,11 @@ def _ts(t: int) -> bytes:
 
 def h0(identity: bytes, s: int) -> int:
     """Registration nonce->scalar hash: derives the initial hash randomizer."""
-    return hash_to_scalar(TAG_H0, [identity, s])
+    pre = b"".join((
+        _TAG_H0, len(identity).to_bytes(4, "big"), identity,
+        _SCALAR_LEN, s.to_bytes(SCALAR_BYTES, "big"),
+    ))
+    return hash_to_scalar(pre)
 
 
 def h1(pd: bytes, gk: int, b: int, pid: bytes) -> bytes:
@@ -160,7 +143,7 @@ def h2(pid: bytes, beta: int, a_pt, s1: bytes, d: bytes, rsu_pk, t1: int) -> int
         _POINT_LEN, point_compress(rsu_pk),
         _TS_LEN, _ts(t1),
     ))
-    return _scalar_from_preimage(pre)
+    return hash_to_scalar(pre)
 
 
 def h3(ch, d: bytes, beta: int, t1: int) -> bytes:
@@ -213,3 +196,30 @@ def keystream(key: bytes, context: bytes, n: int) -> bytes:
     """``n`` keystream bytes for the symmetric cipher, bound to (key, context)."""
     pre = b"".join((_TAG_KEYSTREAM, len(key).to_bytes(4, "big"), key, len(context).to_bytes(4, "big"), context))
     return hashlib.shake_256(pre).digest(n)
+
+
+def sig_digest(msg: bytes) -> int:
+    """Scalar digest of a message for signing and verification."""
+    return hash_to_scalar(_TAG_SIG_DIGEST + len(msg).to_bytes(4, "big") + msg)
+
+
+def hybrid_keys(eph_pub, shared) -> "tuple[bytes, bytes]":
+    """Hybrid encryption's (cipher key, MAC key) from the ephemeral and shared points."""
+    pre = b"".join((
+        _TAG_HYBRID_KDF, _KEYS_LABEL,
+        _POINT_LEN, point_compress(eph_pub),
+        _POINT_LEN, point_compress(shared),
+    ))
+    material = xof_bytes(pre, 2 * TAG_LEN)
+    return material[:TAG_LEN], material[TAG_LEN:]
+
+
+def hybrid_mac(km: bytes, ct: bytes) -> bytes:
+    """Hybrid encryption's tag over the ciphertext under the MAC key."""
+    pre = b"".join((_TAG_HYBRID_KDF, _MAC_LABEL, len(km).to_bytes(4, "big"), km, len(ct).to_bytes(4, "big"), ct))
+    return xof_bytes(pre, TAG_LEN)
+
+
+def pid_kdf(b: int) -> bytes:
+    """128-bit AES subkey for the pseudonym permutation, derived from b."""
+    return xof_bytes(_TAG_PID_KDF + _SCALAR_LEN + b.to_bytes(SCALAR_BYTES, "big"), 16)

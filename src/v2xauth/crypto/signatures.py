@@ -25,7 +25,7 @@ from .curve import (
     solve_y,
     has_even_y,
 )
-from .hashes import TAG_HYBRID_KDF, TAG_SIG_DIGEST, TAG_LEN, hash_to_scalar, xof_bytes
+from .hashes import TAG_LEN, hybrid_keys, hybrid_mac, sig_digest
 from .symmetric import sym_decrypt, sym_encrypt
 
 SIG_LEN = 2 * SCALAR_BYTES  # r || s
@@ -44,7 +44,7 @@ keygen_enc = keygen_sig
 
 
 def sign(sk: int, msg: bytes, rng) -> bytes:
-    z = hash_to_scalar(TAG_SIG_DIGEST, [msg])
+    z = sig_digest(msg)
     while True:
         k = rand_nonzero_scalar(rng)
         pt = scalar_mul(GEN, k)
@@ -65,15 +65,10 @@ def verify(pk, sig: bytes, msg: bytes) -> bool:
     s = int.from_bytes(sig[SCALAR_BYTES:], "big")
     if not (0 < r < Q and 0 < s < Q):
         return False
-    z = hash_to_scalar(TAG_SIG_DIGEST, [msg])
+    z = sig_digest(msg)
     w = pow(s, -1, Q)
     pt = msm2(z * w % Q, r * w % Q, pk)
     return pt is not None and pt[0] % Q == r
-
-
-def _hybrid_keys(eph_pub, shared):
-    material = xof_bytes(TAG_HYBRID_KDF, [b"keys", eph_pub, shared], 2 * TAG_LEN)
-    return material[:TAG_LEN], material[TAG_LEN:]
 
 
 def aenc(pk, msg: bytes, rng) -> bytes:
@@ -84,9 +79,9 @@ def aenc(pk, msg: bytes, rng) -> bytes:
         if has_even_y(eph_pub):  # x-only encoding needs the even-y representative
             break
     shared = scalar_mul(pk, eph)
-    ke, km = _hybrid_keys(eph_pub, shared)
+    ke, km = hybrid_keys(eph_pub, shared)
     ct = sym_encrypt(ke, msg, b"hybrid")
-    tag = xof_bytes(TAG_HYBRID_KDF, [b"mac", km, ct], TAG_LEN)
+    tag = hybrid_mac(km, ct)
     return eph_pub[0].to_bytes(SCALAR_BYTES, "big") + tag + ct
 
 
@@ -100,8 +95,8 @@ def adec(sk: int, blob: bytes) -> bytes:
     if eph_pub is None:
         raise IntegrityError("ephemeral point not on curve")
     shared = scalar_mul(eph_pub, sk)
-    ke, km = _hybrid_keys(eph_pub, shared)
-    expect = xof_bytes(TAG_HYBRID_KDF, [b"mac", km, ct], TAG_LEN)
+    ke, km = hybrid_keys(eph_pub, shared)
+    expect = hybrid_mac(km, ct)
     if not hmac.compare_digest(expect, tag):
         raise IntegrityError("authentication tag mismatch")
     return sym_decrypt(ke, ct, b"hybrid")

@@ -28,10 +28,11 @@ us on a cached one (thread CPU time, shared 2-core x86-64 host, Python
 3.11). The verifier decrypts one pID and mints one per request, both
 under the current epoch's subkey, so both stay cached between rotations.
 
-``pid_encrypt_blocks`` encrypts k raw pseudonyms in one ECB pass with one
-cipher context, on either backend. ECB treats each block on its own, so
-the result is the k ``pid_encrypt`` results concatenated. A group-key
-rotation mints its whole fan-out that way.
+``pid_encrypt`` takes k raw pseudonyms, whole 16-byte blocks, and
+encrypts them in one ECB pass with one cipher context, on either
+backend. ECB treats each block on its own, so the result is the k
+one-block results concatenated. A group-key rotation mints its whole
+fan-out that way.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import threading
 from functools import lru_cache
 
 from .curve import LIBCRYPTO
-from .hashes import TAG_PID_KDF, keystream, xof_bytes
+from .hashes import keystream, pid_kdf
 
 PID_LEN = 16
 
@@ -64,11 +65,8 @@ def sym_decrypt(key: bytes, ciphertext: bytes, context: bytes) -> bytes:
     return sym_encrypt(key, ciphertext, context)
 
 
-@lru_cache(maxsize=8)
-def pid_cipher_key(b: int) -> bytes:
-    """128-bit AES subkey for the pseudonym permutation, derived from b."""
-    # the group secret changes only at rotation, so cache per epoch value
-    return xof_bytes(TAG_PID_KDF, [b], 16)
+# the group secret changes only at rotation, so the subkey is cached per epoch value
+pid_cipher_key = lru_cache(maxsize=8)(pid_kdf)
 
 
 class _EvpCache:
@@ -172,20 +170,11 @@ def _select_aes_block():
 _aes_block = _select_aes_block()
 
 
-def pid_encrypt(b: int, pd: bytes) -> bytes:
-    """Encrypt one 16-byte raw pseudonym block into the public pID."""
-    if len(pd) != PID_LEN:
-        raise ValueError("raw pseudonym must be 16 bytes")
-    return _aes_block(pid_cipher_key(b), pd, True)
-
-
-def pid_encrypt_blocks(b: int, pds: bytes) -> bytes:
-    """Encrypt k concatenated 16-byte raw pseudonyms in one ECB pass; the
-    result equals the k ``pid_encrypt`` results concatenated."""
+def pid_encrypt(b: int, pds: bytes) -> bytes:
+    """Encrypt k concatenated 16-byte raw pseudonyms into their k public
+    pIDs, concatenated, in one ECB pass."""
     if len(pds) % PID_LEN:
         raise ValueError("raw pseudonyms must be whole 16-byte blocks")
-    if not pds:
-        return b""
     return _aes_block(pid_cipher_key(b), pds, True)
 
 

@@ -1,18 +1,2 @@
 """Deterministic network simulation, scenario scripting, and wall-clock
 benchmarks."""
-
-from .engine import (
-    Adversary,
-    Capture,
-    DeadlockDetected,
-    Drop,
-    Engine,
-    Inject,
-    Link,
-    Replay,
-    ScenarioValidationError,
-    SimnetError,
-    Tamper,
-    Transcript,
-)
-from .scenarios import ScenarioSpec, canned_scenarios, parse_scenario, run_scenario

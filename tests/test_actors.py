@@ -467,6 +467,26 @@ def test_rsu_holds_the_latest_confirmed_session_per_commitment():
     assert updates == [] and rsu.sessions == {}
 
 
+def test_replayed_ack_rejected_and_leaves_sessions_unchanged():
+    chain, lea, rsms, rsus, vn = make_domain(0xB7)
+    rsu = rsus[0]
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    ch = vn.credential.commitment
+    request, vctx = vn.start_handover(rsu.sign_pk, now=2000)
+    reply, rctx = rsu.handle_request(request.encode(), now=2000)
+    ack, _ = vn.handle_reply(vctx, reply.encode(), now=2000)
+    rsu.handle_ack(rctx, ack.encode(), now=2000)
+    with pytest.raises(actors.ReplayDetected):
+        rsu.handle_ack(rctx, ack.encode(), now=2010)
+    assert rsu.sessions == {ch: rctx}
+    # once revocation dropped the session, the replay must not restore it
+    actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[ch], now=3500)
+    assert rsu.sessions == {}
+    with pytest.raises(actors.ReplayDetected):
+        rsu.handle_ack(rctx, ack.encode(), now=3500)
+    assert rsu.sessions == {}
+
+
 def test_rotation_drops_sessions_whose_registration_expired():
     chain, lea, rsms, rsus, vn = make_domain(0xB1 + 0x100)
     rsu = rsus[0]
@@ -702,7 +722,6 @@ def test_pool_exhaustion_still_succeeds_and_is_flagged():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     vn.credential.pool.clear()
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
-    assert ctx.used_inline_point
     assert vn.inline_point_uses == 1
     reply, _ = rsus[0].handle_request(request.encode(), now=2000)
     assert reply is not None

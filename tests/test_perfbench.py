@@ -1,16 +1,27 @@
 """The repository benchmark still runs against this source tree.
 
-One zero-length traced ``handover`` run of ``perfbench/run.py``: it must
-exit 0 and end with a JSON line whose ``correct`` is true. The spans go to
-the gitignored ``perfbench/out/``.
+The tracer must find every function it wraps: built in-process, without
+being installed, it fails at once on a name the source no longer has.
+Then one zero-length traced ``handover`` run of ``perfbench/run.py``: it
+must exit 0 and end with a JSON line whose ``correct`` is true. The spans
+go to the gitignored ``perfbench/out/``.
 """
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_tracer_finds_every_span_target():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    planned = {(owner, attr) for owner, attr, _, _ in tracing.Tracer()._patches}
+    assert all((owner, attr) in planned for _, owner, attr in tracing.SPAN_TARGETS)
 
 
 def test_perfbench_handover_traced_run_is_correct():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from preimage_oracle import encode_preimage
 from v2xauth.crypto import curve, hashes, signatures, symmetric
 
 
@@ -81,9 +82,10 @@ def _seal_with_ephemeral_field(pk_owner_sk, x_field: int, eph_pub, msg: bytes) -
     """A blob whose ephemeral field is ``x_field`` and whose tag verifies
     for ``eph_pub``; built from the recipient's key, as no sender could."""
     shared = curve.scalar_mul(eph_pub, pk_owner_sk)
-    ke, km = signatures._hybrid_keys(eph_pub, shared)
+    keys = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"keys", eph_pub, shared]), 2 * hashes.TAG_LEN)
+    ke, km = keys[: hashes.TAG_LEN], keys[hashes.TAG_LEN :]
     ct = symmetric.sym_encrypt(ke, msg, b"hybrid")
-    tag = hashes.xof_bytes(hashes.TAG_HYBRID_KDF, [b"mac", km, ct], hashes.TAG_LEN)
+    tag = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"mac", km, ct]), hashes.TAG_LEN)
     return x_field.to_bytes(28, "big") + tag + ct
 
 

@@ -25,6 +25,27 @@ def test_replay_scenario_detected_exactly_once():
     assert transcript.count_events(event="reject", outcome="ReplayDetected") == 1
 
 
+def test_replayed_ack_confirms_nothing_again():
+    # the ACK is replayed after a rotation that revoked vn1 and dropped its session
+    text = """
+seed 11
+node lea1 lea
+node rsm1 rsm sync_delay_ms=1
+node rsu1 rsu rsm=rsm1
+node vn1 vn rsm=rsm1
+link vn1 rsu1 latency_ms=2
+at 0 register vn=vn1
+at 1000 handover vn=vn1 rsu=rsu1
+at 2000 rotate revoked=vn1
+adversary capture kind=ACK nth=0 slot=a0
+adversary replay slot=a0 delay_ms=1500
+expect actor=rsu1 event=reject outcome=ReplayDetected count=1
+"""
+    transcript = scenarios.run_scenario(text)
+    assert transcript.count_events(actor="rsu1", event="session_key", outcome="ok") == 1
+    assert transcript.count_events(actor="rsu1", event="confirm", outcome="ok") == 1
+
+
 def test_tamper_scenarios():
     scenarios.run_scenario(scenarios.TAMPER_REQ)
     scenarios.run_scenario(scenarios.TAMPER_REP)

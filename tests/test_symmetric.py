@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preimage_oracle import encode_preimage
 from v2xauth.crypto import curve, hashes, symmetric
 from v2xauth.crypto.curve import GEN
 
@@ -47,7 +48,7 @@ def test_nonce_field_width_is_preserved():
 
 def _oracle_sym_encrypt(key, plaintext, context):
     """The keystream cipher from encode_preimage and a byte-wise XOR."""
-    pre = hashes.encode_preimage(hashes.TAG_KEYSTREAM, [key, context])
+    pre = encode_preimage(hashes.TAG_KEYSTREAM, [key, context])
     stream = hashlib.shake_256(pre).digest(len(plaintext))
     return bytes(a ^ b for a, b in zip(plaintext, stream))
 
@@ -182,7 +183,7 @@ def test_pid_encrypt_blocks_equals_one_pid_encrypt_per_block(monkeypatch, k):
         for _ in range(20):
             b = rng.randrange(1, 2**224)
             pds = [rng.randbytes(16) for _ in range(k)]
-            out = module.pid_encrypt_blocks(b, b"".join(pds))
+            out = module.pid_encrypt(b, b"".join(pds))
             assert out == b"".join(module.pid_encrypt(b, pd) for pd in pds)
             assert out == b"".join(_cryptography_block(module.pid_cipher_key(b), pd, True) for pd in pds)
 
@@ -191,7 +192,7 @@ def test_pid_encrypt_blocks_rejects_partial_blocks(monkeypatch):
     for module in _both_backends(monkeypatch):
         for n in (1, 15, 17, 31, 33 * 16 + 5):
             with pytest.raises(ValueError):
-                module.pid_encrypt_blocks(1, bytes(n))
+                module.pid_encrypt(1, bytes(n))
 
 
 needs_libcrypto_aes = pytest.mark.skipif(
@@ -229,7 +230,7 @@ def test_pid_cipher_concurrent_calls_match_cryptography():
                     (
                         symmetric.pid_encrypt(b, pd),
                         symmetric.pid_decrypt(b, pd),
-                        symmetric.pid_encrypt_blocks(b, blocks),
+                        symmetric.pid_encrypt(b, blocks),
                     )
                 )
             assert len(symmetric._evp_cache().contexts) <= symmetric._EvpCache.LIMIT
