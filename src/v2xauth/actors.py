@@ -111,6 +111,12 @@ class InvalidEvidence(ProtocolError):
     pass
 
 
+class MalformedRegistration(ProtocolError):
+    """An unsealed registration that is not identity length, identity and
+    a compressed commitment: ``enc_pk`` is public, so anyone can seal
+    such a blob."""
+
+
 @dataclass(frozen=True)
 class GroupSecret:
     gk: int
@@ -180,6 +186,23 @@ def _receipt_message(identity: bytes, ch, t_exp: int) -> bytes:
     return len(identity).to_bytes(2, "big") + identity + curve.point_compress(ch) + t_exp.to_bytes(8, "big")
 
 
+def _open_registration(plain: bytes) -> "tuple[bytes, tuple[int, int]]":
+    """(identity, CH) from an unsealed registration: a 2-byte identity
+    length, the identity and CH's 29-byte compressed form, nothing more."""
+    if len(plain) < 2 + 29:
+        raise MalformedRegistration("registration plaintext too short")
+    id_len = int.from_bytes(plain[:2], "big")
+    if len(plain) != 2 + id_len + 29:
+        raise MalformedRegistration("identity length does not fit the plaintext")
+    try:
+        ch = curve.point_decompress(plain[2 + id_len :])
+    except ValueError as exc:
+        raise MalformedRegistration(f"commitment does not decode: {exc}") from exc
+    if ch is None:
+        raise MalformedRegistration("commitment is the identity point")
+    return plain[2 : 2 + id_len], ch
+
+
 def _s1_context(t1: int) -> bytes:
     return b"S1" + ts_wrap(t1).to_bytes(4, "big")
 
@@ -245,10 +268,7 @@ class Authority:
         )
 
     def handle_registration(self, request: RegistrationRequest, now: int) -> "tuple[bytes, bytes, int]":
-        plain = signatures.adec(self._enc_sk, request.c1)
-        id_len = int.from_bytes(plain[:2], "big")
-        identity = plain[2 : 2 + id_len]
-        ch = curve.point_decompress(plain[2 + id_len : 2 + id_len + 29])
+        identity, ch = _open_registration(signatures.adec(self._enc_sk, request.c1))
         self.chain.check_registrable(ch, now)  # before the signature draws from the RNG
         t_exp = now + REGISTRATION_LIFETIME_MS
         sig = signatures.sign(self._sign_sk, _receipt_message(identity, ch, t_exp), self.rng)
@@ -513,7 +533,8 @@ class Vehicle:
         s = curve.rand_nonzero_scalar(self.rng)
         m0 = curve.rand_nonzero_scalar(self.rng)
         r0 = hashes.h0(self.identity, s)
-        y_point = curve.scalar_mul(GEN, x)
+        # vehicle side: on the ladder until ROADMAP item 1 releases it
+        y_point = curve.ladder_mul(GEN, x)
         commitment = chameleon.ch_commit(y_point, m0, r0)
         self._pending_keygen = (x, m0, r0, y_point, commitment)
         plain = (
@@ -559,7 +580,8 @@ class Vehicle:
         """(alpha, A = alpha*Y) with A in canonical even-y form, which comes
         for free: negating alpha flips the point's y parity."""
         alpha = curve.rand_nonzero_scalar(self.rng)
-        a_pt = curve.scalar_mul(self.credential.y_point, alpha)
+        # vehicle side: on the ladder until ROADMAP item 1 releases it
+        a_pt = curve.ladder_mul(self.credential.y_point, alpha)
         if not curve.has_even_y(a_pt):
             alpha = Q - alpha
             a_pt = curve.point_neg(a_pt)

@@ -8,35 +8,68 @@ one curve coordinate or one scalar, which is why this particular curve
 is load-bearing: the message-size budget assumes l_q = 224 bits.
 
 Points are affine ``(x, y)`` tuples with ``None`` as the identity O.
-Internally the hot paths run in Jacobian coordinates so that a full
-scalar multiplication needs a single field inversion.
+Internally the pure-Python paths run in Jacobian coordinates so that a
+full scalar multiplication needs a single field inversion.
 
-Two multiplication routines are exposed on purpose:
+Scalar multiplication has one native seam and two pure-Python paths:
 
-* ``scalar_mul`` is a fixed-iteration Montgomery ladder and is the only
-  routine fed long-term secrets (trapdoor x, k, blinding alpha).  Python
-  big integers are not constant-time, so this is side-channel hygiene,
-  not a guarantee.
-* ``msm2`` computes ``m*P + gamma*A``.  It is variable-time and is only
-  ever given values that travel in cleartext anyway (verification
-  inputs).
+* ``_msm2_libcrypto`` marshals ``m*G + gamma*A`` into one libcrypto
+  ``EC_POINT_mul`` on the calling thread's scratch. Both public
+  routines go through it when the library loaded: ``msm2(m, gamma, A)``
+  with two terms, and ``scalar_mul(pt, s)`` with one, in the fixed-base
+  form (no point argument) when ``pt`` is ``GEN`` and the variable-base
+  form otherwise. A point libcrypto refuses (not on the curve) goes to
+  ``_msm2_py``, which defines the result for such input.
+* ``ladder_mul`` is a fixed-iteration Montgomery ladder: the reference
+  ``scalar_mul`` is tested against, and its fallback when the library
+  does not load.
+* ``_msm2_py`` is a variable-time window-NAF loop sharing one doubling
+  chain between the terms: the reference and fallback of ``msm2``.
 
-``msm2`` and the square root's one big exponentiation have a native
-backend.  At import the module opens the system OpenSSL 3
-``libcrypto.so.3`` through ``ctypes`` once, types every function the
-package calls from one signature table, and keeps the handle as
-``LIBCRYPTO`` (``None`` when it does not load); ``symmetric`` runs its
-pseudonym AES block on the same handle.  When the library provides
-secp224r1, reproduces the generator and gives the known inverse of 2
-through ``BN_mod_exp_mont``, ``msm2`` is bound to ``EC_POINT_mul`` and
-the exponentiation to ``BN_mod_exp_mont``.  Otherwise ``msm2`` is the
-pure-Python window-NAF loop ``_msm2_py`` and the exponentiation Python's
-``pow``; both also stay the references that the tests hold the native
-paths to.  ``BACKEND`` names the path in use (``"libcrypto"`` or
-``"pure-python"``).  Both paths return identical results, including
-``None`` for the identity.  The ``msm2`` fallback is built from the same
-Jacobian formulas as the ladder and costs about 3 ms a call on a shared
-2-core x86-64 host (Python 3.11), where libcrypto takes 0.2 ms.
+Which secret scalars take which path, with libcrypto loaded:
+
+* ``scalar_mul`` (native, one term): the long-term signing and
+  decryption keys of the authority, region managers and roadside units
+  at key generation (sk*G, fixed-base), every ECDSA nonce (k*G,
+  fixed-base, in ``signatures.sign``), and the decryption key in
+  ``signatures.adec`` (sk*E, variable-base); also x*G in
+  ``chameleon.ch_keygen``, which only the tests call;
+* ``msm2`` (native, two terms): the vehicle's initial chameleon input m0
+  and r0, in ``chameleon.ch_commit`` at registration; every other
+  ``msm2`` input (the handover's m and gamma, ECDSA verification) is
+  public;
+* ``ladder_mul``, called by name: the vehicle's trapdoor x (x*G, in
+  ``Vehicle.build_registration``), its blinding values alpha (alpha*Y,
+  in ``Vehicle._draw_blinded_point``) and the ephemeral key of
+  ``signatures.aenc`` (eph*G and eph*pk).
+
+Side channels. With the installed OpenSSL 3.0.19 the secp224r1 group
+runs on ``EC_GFp_nistp224_method`` (checked: ``EC_GROUP_method_of``
+returns it), whose ``EC_POINT_mul`` selects precomputed table entries
+with masks instead of branches, for the generator and for a variable
+point alike. That constant-time behaviour is OpenSSL's design claim; it
+is not measured here, and a library built without the nistp224 method
+runs a different one. Python big integers are not constant-time, so
+neither pure-Python path is: the ladder's fixed step sequence is
+hygiene, not a guarantee, and the fallbacks give no side-channel
+protection.
+
+At import the module opens the system OpenSSL 3 ``libcrypto.so.3``
+through ``ctypes`` once, types every function the package calls from
+one signature table, and keeps the handle as ``LIBCRYPTO`` (``None``
+when it does not load); ``symmetric`` runs its pseudonym AES block on
+the same handle. When the library provides secp224r1, reproduces the
+generator and gives the known inverse of 2 through ``BN_mod_exp_mont``,
+``msm2`` and ``scalar_mul`` are bound to ``EC_POINT_mul`` and the
+square root's exponentiation to ``BN_mod_exp_mont``. Otherwise they are
+``_msm2_py``, ``ladder_mul`` and Python's ``pow``, which also stay the
+references the tests hold the native paths to. ``BACKEND`` names the
+path in use (``"libcrypto"`` or ``"pure-python"``). Both paths return
+identical results, including ``None`` for the identity. Measured as
+thread CPU time on a shared 2-core x86-64 host (Python 3.11): ``msm2``
+takes 0.12-0.2 ms native and about 3 ms in Python; ``scalar_mul`` about
+0.06 ms fixed-base and 0.13 ms variable-base native, against 3.7 ms on
+the ladder.
 
 The native calls work in a per-thread ``_Scratch``: a BN_CTX, the
 bignums, the two points ``msm2`` needs, an output buffer and a
@@ -233,12 +266,13 @@ def _batch_to_affine(triples):
 # --- Scalar multiplication ---------------------------------------------------
 
 
-def scalar_mul(pt, s: int):
+def ladder_mul(pt, s: int):
     """Multiply ``pt`` by ``s`` with a fixed-length Montgomery ladder.
 
     Always runs 225 ladder steps regardless of ``s`` (the exponent is
     lifted to s + q so its top bit is fixed), giving a uniform operation
-    sequence for secret scalars. Accepts s = 0 and the identity.
+    sequence for secret scalars. Accepts s = 0 and the identity. The
+    reference and fallback of ``scalar_mul``, about 4 ms a call.
     """
     if pt is None:
         return None
@@ -320,7 +354,7 @@ def _msm2_py(m: int, gamma: int, a_pt):
     return _jac_to_affine(*acc)
 
 
-# --- libcrypto: the one native handle, used by msm2 and the pseudonym cipher ---
+# --- libcrypto: the one native handle, used by the curve and the pseudonym cipher ---
 
 _NID_SECP224R1 = 713
 _VP = ctypes.c_void_p
@@ -484,6 +518,13 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
     return (int.from_bytes(raw[:COORD_BYTES], "big"), int.from_bytes(raw[COORD_BYTES:], "big"))
 
 
+def _scalar_mul_libcrypto(pt, s: int):
+    """Return ``s*pt`` through ``_msm2_libcrypto``: the fixed-base form
+    (no point argument) for ``GEN``, the variable-base form for any other
+    point. Accepts s = 0, s >= Q and the identity."""
+    return _msm2_libcrypto(s, 0, None) if pt == GEN else _msm2_libcrypto(0, s, pt)
+
+
 def _pow_p_libcrypto(n: int, e: int) -> int:
     """Return ``n^e mod P`` through libcrypto's ``BN_mod_exp_mont``, for n
     in [0, 2^224) and e >= 0; the library reduces an n >= P.
@@ -520,10 +561,12 @@ if _LIBCRYPTO is not None:
         _release_scratch()
 if _LIBCRYPTO is None:
     msm2 = _msm2_py
+    scalar_mul = ladder_mul
     _pow_p = _pow_p_py
     BACKEND = "pure-python"
 else:
     msm2 = _msm2_libcrypto
+    scalar_mul = _scalar_mul_libcrypto
     _pow_p = _pow_p_libcrypto
     BACKEND = "libcrypto"
 

@@ -19,6 +19,7 @@ from .curve import (
     GEN,
     Q,
     SCALAR_BYTES,
+    ladder_mul,
     rand_nonzero_scalar,
     scalar_mul,
     msm2,
@@ -75,10 +76,12 @@ def aenc(pk, msg: bytes, rng) -> bytes:
     """Seal msg to pk: ephemeral x (28) || tag (20) || ciphertext."""
     while True:
         eph = rand_nonzero_scalar(rng)
-        eph_pub = scalar_mul(GEN, eph)
+        # vehicle side: on the ladder until ROADMAP item 1 releases it
+        eph_pub = ladder_mul(GEN, eph)
         if has_even_y(eph_pub):  # x-only encoding needs the even-y representative
             break
-    shared = scalar_mul(pk, eph)
+    # vehicle side: on the ladder until ROADMAP item 1 releases it
+    shared = ladder_mul(pk, eph)
     ke, km = hybrid_keys(eph_pub, shared)
     ct = sym_encrypt(ke, msg, b"hybrid")
     tag = hybrid_mac(km, ct)

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 
 import pytest
 
@@ -285,6 +286,89 @@ def test_refused_registration_draws_no_randomness_and_appends_nothing():
             lea.handle_registration(request, now=1000)
         assert lea.rng.getstate() == rng_state
         assert chain.height() == height
+
+
+def _malformed_registration_plaintexts(ch_bytes):
+    """Sealable plaintexts that are not identity length, identity and a
+    compressed commitment, with the reason each is refused."""
+    ident = b"VIN-0123456789AB"
+    prefix = len(ident).to_bytes(2, "big") + ident
+    off_curve_x = next(x for x in range(1, 1000) if curve.solve_y(x) is None)
+    return [
+        (b"\x00\x05abc", "too short"),
+        (b"", "too short"),
+        (b"\xff\xff" + ident + ch_bytes, "identity length"),
+        (b"\x00\x05" + ident + ch_bytes, "identity length"),  # CH would be read from inside the identity
+        (prefix + ch_bytes + b"\x00", "identity length"),  # trailing byte
+        (prefix + b"\x05" + ch_bytes[1:], "bad point prefix"),
+        (prefix + b"\x02" + off_curve_x.to_bytes(28, "big"), "not on curve"),
+        (prefix + b"\x02" + curve.P.to_bytes(28, "big"), "not on curve"),
+        (prefix + bytes(29), "identity point"),
+    ]
+
+
+def test_malformed_sealed_registration_is_a_typed_rejection_without_side_effects():
+    # enc_pk is public: anyone can seal a well-authenticated blob of any shape
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x500)
+    ch_bytes = curve.point_compress(curve.scalar_mul(curve.GEN, 0xC0FFEE))
+    rng = random.Random(0x5EA1)
+    for plain, reason in _malformed_registration_plaintexts(ch_bytes):
+        request = wire.RegistrationRequest(c1=signatures.aenc(lea.enc_pk, plain, rng))
+        rng_state, height = lea.rng.getstate(), chain.height()
+        with pytest.raises(actors.MalformedRegistration, match=reason):
+            lea.handle_registration(request, now=1000)
+        assert lea.rng.getstate() == rng_state, plain
+        assert chain.height() == height, plain
+    # the same layout with a valid commitment registers
+    ident = b"VIN-0123456789AB"
+    plain = len(ident).to_bytes(2, "big") + ident + ch_bytes
+    txid, _, _ = lea.handle_registration(
+        wire.RegistrationRequest(c1=signatures.aenc(lea.enc_pk, plain, rng)), now=1000
+    )
+    assert chain.get(txid).payload.ch == curve.point_decompress(ch_bytes)
+
+
+def _count_ladder_calls(monkeypatch):
+    """A list that gets one entry per ``curve.ladder_mul`` call, wherever
+    a v2xauth module bound the function."""
+    calls = []
+    ladder = curve.ladder_mul
+
+    def counted(pt, s):
+        calls.append(pt)
+        return ladder(pt, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("v2xauth") and getattr(module, "ladder_mul", None) is ladder:
+            monkeypatch.setattr(module, "ladder_mul", counted)
+    return calls
+
+
+@pytest.mark.skipif(curve._LIBCRYPTO is None, reason="without libcrypto every scalar_mul is the ladder")
+def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
+    # operation counts, not timings: the infrastructure's key generation,
+    # unsealing and signing run on libcrypto; the vehicle's credential
+    # arithmetic and its sealing still run on the Python ladder
+    calls = _count_ladder_calls(monkeypatch)
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x600)
+    signatures.keygen_sig(random.Random(1))
+    assert len(calls) == 0
+
+    request = vn.build_registration(lea.params)
+    vehicle_calls = len(calls)
+    txid, sig, t_exp = lea.handle_registration(request, now=1000)
+    assert len(calls) == vehicle_calls
+    reply = rsms[0].complete_registration(txid, sig, t_exp, now=1000)
+    vn.finish_registration(reply, rsms[0].view, now=1000)
+    # build: Y = x*G, then aenc's eph*G (one per draw until its y is even;
+    # the first draw under this seed) and eph*pk; finish: POOL_TARGET alpha*Y
+    assert vehicle_calls == 1 + 1 + 1
+    assert len(calls) == vehicle_calls + actors.POOL_TARGET == 11
+
+    before = len(calls)
+    request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
+    rsus[0].report_malicious(request.encode(), now=2000)
+    assert len(calls) == before
 
 
 def test_single_byte_flips_never_authenticate():

@@ -1,14 +1,16 @@
 """Group arithmetic checked against an independent naive oracle.
 
-The oracle below is deliberately dumb: schoolbook affine add/double and
-left-to-right double-and-add, sharing no code with the Jacobian paths it
-validates.
+The oracle (``curve_oracle``) is deliberately dumb: schoolbook affine
+add/double and left-to-right double-and-add, sharing no code with the
+paths it validates.
 
-``msm2`` has two implementations: the pure-Python reference
-``curve._msm2_py`` and, when libcrypto.so.3 loads, ``curve._msm2_libcrypto``.
-The oracle checks run on each, and a differential test holds the native
-path to the reference. Reference cases always run; native cases skip
-only when the library did not load.
+Both multiplication routines have a native and a pure-Python
+implementation. ``scalar_mul`` is ``curve._scalar_mul_libcrypto`` when
+libcrypto.so.3 loads and the ladder ``curve.ladder_mul`` otherwise;
+``msm2`` is ``curve._msm2_libcrypto`` or the window-NAF loop
+``curve._msm2_py``. The oracle checks run on each, and differential
+tests hold each native path to the pure-Python ones. Reference cases
+always run; native cases skip only when the library did not load.
 
 ``sqrt_mod_p`` is a table-driven discrete log; the Tonelli-Shanks square
 root it replaced lives here as its oracle, with Euler's criterion as the
@@ -24,38 +26,12 @@ import sys
 import threading
 
 import pytest
+from curve_oracle import oracle_add, oracle_generator_multiples, oracle_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from v2xauth.crypto import curve
 from v2xauth.crypto.curve import GEN, P, Q
-
-
-def oracle_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2 and (y1 + y2) % P == 0:
-        return None
-    if p1 == p2:
-        lam = (3 * x1 * x1 + curve.A) * pow(2 * y1, -1, P) % P
-    else:
-        lam = (y2 - y1) * pow((x2 - x1) % P, -1, P) % P
-    x3 = (lam * lam - x1 - x2) % P
-    return (x3, (lam * (x1 - x3) - y1) % P)
-
-
-def oracle_mul(pt, k):
-    """Naive left-to-right double-and-add."""
-    acc = None
-    for i in range(k.bit_length() - 1, -1, -1):
-        acc = oracle_add(acc, acc)
-        if (k >> i) & 1:
-            acc = oracle_add(acc, pt)
-    return acc
 
 
 def oracle_is_residue(n):
@@ -91,36 +67,185 @@ def oracle_sqrt(n):
     return r
 
 
+needs_libcrypto = pytest.mark.skipif(
+    curve._LIBCRYPTO is None, reason="libcrypto.so.3 with secp224r1 did not load"
+)
+
+# the ladder, and the bound routine: native when the library loaded
+SCALAR_MULS = (curve.ladder_mul, curve.scalar_mul)
+
+
 def test_generator_on_curve_and_order():
     assert curve.is_on_curve(GEN)
-    assert curve.scalar_mul(GEN, Q) is None
-    assert curve.scalar_mul(GEN, Q - 1) == curve.point_neg(GEN)
+    for mul in SCALAR_MULS:
+        assert mul(GEN, Q) is None, mul
+        assert mul(GEN, Q - 1) == curve.point_neg(GEN), mul
 
 
 def test_scalar_mul_trivial_cases():
-    assert curve.scalar_mul(GEN, 0) is None
-    assert curve.scalar_mul(GEN, 1) == GEN
-    assert curve.scalar_mul(None, 12345) is None
+    for mul in SCALAR_MULS:
+        assert mul(GEN, 0) is None, mul
+        assert mul(GEN, 1) == GEN, mul
+        assert mul(None, 12345) is None, mul
 
 
 def test_scalar_mul_matches_naive_oracle():
-    rng = random.Random(0xEC)
-    for _ in range(64):
-        s = rng.randrange(Q)
-        assert curve.scalar_mul(GEN, s) == oracle_mul(GEN, s)
+    for s, expected in oracle_generator_multiples():
+        for mul in SCALAR_MULS:
+            assert mul(GEN, s) == expected, (mul, s)
 
 
 def test_scalar_mul_on_random_base_points():
     rng = random.Random(0xEC + 1)
     for _ in range(16):
-        base = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+        base = curve.ladder_mul(GEN, curve.rand_nonzero_scalar(rng))
         s = rng.randrange(1, Q)
-        assert curve.scalar_mul(base, s) == oracle_mul(base, s)
+        expected = oracle_mul(base, s)
+        for mul in SCALAR_MULS:
+            assert mul(base, s) == expected, (mul, base, s)
 
 
-needs_libcrypto = pytest.mark.skipif(
-    curve._LIBCRYPTO is None, reason="libcrypto.so.3 with secp224r1 did not load"
-)
+def _walk(rng, n):
+    """n distinct pseudo-random points: a random base stepped by a random
+    point, one affine addition each instead of a multiplication each."""
+    pt = curve.ladder_mul(GEN, curve.rand_nonzero_scalar(rng))
+    step = curve.ladder_mul(GEN, curve.rand_nonzero_scalar(rng))
+    for _ in range(n):
+        yield pt
+        pt = curve.point_add(pt, step)
+
+
+@needs_libcrypto
+def test_scalar_mul_libcrypto_matches_wnaf_on_random_instances():
+    rng = random.Random(0xEC + 18)
+    for pt in _walk(rng, 1_000):
+        s = rng.randrange(Q)
+        assert curve._scalar_mul_libcrypto(pt, s) == curve._msm2_py(0, s, pt), (pt, s)
+        s = rng.randrange(Q)
+        assert curve._scalar_mul_libcrypto(GEN, s) == curve._msm2_py(s, 0, None), s
+
+
+@needs_libcrypto
+def test_scalar_mul_libcrypto_matches_ladder_on_random_instances():
+    rng = random.Random(0xEC + 19)
+    for i, pt in enumerate(_walk(rng, 300)):
+        pt = GEN if i % 3 == 0 else pt
+        s = rng.randrange(Q)
+        assert curve._scalar_mul_libcrypto(pt, s) == curve.ladder_mul(pt, s), (pt, s)
+
+
+def _scalar_edge_cases():
+    """(point, scalar) pairs at the edges: s = 0, s = Q, s > Q, s = Q - 1,
+    the identity, GEN and its negation."""
+    rng = random.Random(0xEC + 20)
+    a_pt = curve.ladder_mul(GEN, curve.rand_nonzero_scalar(rng))
+    s = curve.rand_nonzero_scalar(rng)
+    cases = []
+    for pt in (GEN, curve.point_neg(GEN), a_pt):
+        cases += [(pt, 0), (pt, 1), (pt, 2), (pt, Q), (pt, Q - 1), (pt, Q + 1), (pt, Q + s), (pt, 5 * Q + s)]
+        cases += [(pt, 2**256 + s), (pt, s)]
+    cases += [(None, 0), (None, s), (None, Q)]
+    return cases
+
+
+@needs_libcrypto
+def test_scalar_mul_libcrypto_edge_scalars_and_identity():
+    for pt, s in _scalar_edge_cases():
+        assert curve._scalar_mul_libcrypto(pt, s) == curve.ladder_mul(pt, s), (pt, s)
+    assert curve._scalar_mul_libcrypto(GEN, Q) is None
+    assert curve._scalar_mul_libcrypto(None, 7) is None
+
+
+@needs_libcrypto
+def test_generator_through_fixed_and_variable_base_forms(monkeypatch):
+    rng = random.Random(0xEC + 21)
+    for _ in range(200):
+        s = curve.rand_nonzero_scalar(rng)
+        fixed = curve._msm2_libcrypto(s, 0, None)
+        variable = curve._msm2_libcrypto(0, s, GEN)
+        assert fixed == variable == curve._msm2_py(s, 0, None), s
+    # scalar_mul picks the fixed-base form for GEN, also when it is passed
+    # as an equal tuple rather than the module's object, and the
+    # variable-base form for any other point
+    calls = []
+    native = curve._msm2_libcrypto
+
+    def recorded(m, gamma, a_pt):
+        calls.append((m, gamma, a_pt))
+        return native(m, gamma, a_pt)
+
+    monkeypatch.setattr(curve, "_msm2_libcrypto", recorded)
+    neg = curve.point_neg(GEN)
+    assert curve._scalar_mul_libcrypto((GEN[0], GEN[1]), 12345) == curve.ladder_mul(GEN, 12345)
+    assert curve._scalar_mul_libcrypto(neg, 12345) == curve.ladder_mul(neg, 12345)
+    assert calls == [(12345, 0, None), (0, 12345, neg)]
+
+
+def _libcrypto_error_pending():
+    """True when this thread's libcrypto error queue is not empty."""
+    lib = ctypes.CDLL("libcrypto.so.3")  # the loaded library; its queue is per thread
+    lib.ERR_peek_error.restype = ctypes.c_ulong
+    lib.ERR_peek_error.argtypes = []
+    return lib.ERR_peek_error() != 0
+
+
+@needs_libcrypto
+def test_scalar_mul_libcrypto_falls_back_on_an_off_curve_point():
+    rng = random.Random(0xEC + 22)
+    off = (GEN[0], (GEN[1] + 1) % P)
+    assert not curve.is_on_curve(off)
+    scratch = curve._scratch()
+    for _ in range(3):
+        s = rng.randrange(1, Q)
+        # refused by libcrypto, answered by the window-NAF reference
+        assert curve._scalar_mul_libcrypto(off, s) == curve._msm2_py(0, s, off)
+        assert not _libcrypto_error_pending()
+        assert curve._scalar_mul_libcrypto(GEN, s) == curve.ladder_mul(GEN, s)
+    assert curve._scratch() is scratch
+
+
+@needs_libcrypto
+def test_scalar_mul_libcrypto_concurrent_calls_match_reference():
+    rng = random.Random(0xEC + 23)
+    cases = [(pt, rng.randrange(Q)) for pt in _walk(rng, 30)]
+    cases += [(GEN, rng.randrange(Q)) for _ in range(20)]
+    cases += _scalar_edge_cases()
+    expected = [curve._msm2_py(0, s, pt) for pt, s in cases]
+    results = {}
+
+    def worker(tid):
+        results[tid] = [curve._scalar_mul_libcrypto(pt, s) for _ in range(8) for pt, s in cases]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert got == expected * 8
+
+
+@needs_libcrypto
+def test_group_method_is_nistp224_where_the_library_has_it():
+    # the side-channel statement in curve's docstring rests on this method
+    lib, group = curve._LIBCRYPTO
+    probe = ctypes.CDLL("libcrypto.so.3")
+    try:
+        nistp224 = probe.EC_GFp_nistp224_method
+    except AttributeError:
+        pytest.skip("this libcrypto is built without the nistp224 method")
+    nistp224.restype = ctypes.c_void_p
+    nistp224.argtypes = []
+    probe.EC_GROUP_method_of.restype = ctypes.c_void_p
+    probe.EC_GROUP_method_of.argtypes = [ctypes.c_void_p]
+    assert probe.EC_GROUP_method_of(group) == nistp224()
 
 
 def _check_msm2_composes_single_scalar_oracle(msm2):
@@ -138,10 +263,10 @@ def _check_msm2_degenerate_terms(msm2):
     a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
     assert msm2(0, 0, a_pt) is None
     m = rng.randrange(1, Q)
-    assert msm2(m, 0, a_pt) == curve.scalar_mul(GEN, m)
+    assert msm2(m, 0, a_pt) == curve.ladder_mul(GEN, m)
     g = rng.randrange(1, Q)
-    assert msm2(0, g, a_pt) == curve.scalar_mul(a_pt, g)
-    assert msm2(m, g, None) == curve.scalar_mul(GEN, m)
+    assert msm2(0, g, a_pt) == curve.ladder_mul(a_pt, g)
+    assert msm2(m, g, None) == curve.ladder_mul(GEN, m)
 
 
 def test_msm2_composes_single_scalar_oracle():
@@ -198,15 +323,10 @@ def test_msm2_libcrypto_matches_reference_on_degenerate_inputs():
 @needs_libcrypto
 def test_msm2_libcrypto_matches_reference_on_random_instances():
     rng = random.Random(0xEC + 10)
-    # walk a random base by a random step: 10^4 distinct points for one
-    # affine addition each instead of a ladder each
-    a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
-    step = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
-    for _ in range(10_000):
+    for a_pt in _walk(rng, 10_000):
         m = rng.randrange(Q)
         g = rng.randrange(Q)
         assert curve._msm2_libcrypto(m, g, a_pt) == curve._msm2_py(m, g, a_pt), (m, g, a_pt)
-        a_pt = curve.point_add(a_pt, step)
 
 
 @needs_libcrypto
@@ -283,6 +403,7 @@ def test_import_self_check_leaves_no_scratch(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, fresh)  # dataclasses look it up
     spec.loader.exec_module(fresh)
     assert fresh.BACKEND == "libcrypto"
+    assert fresh.scalar_mul is fresh._scalar_mul_libcrypto
     assert "scratch" not in vars(fresh._TLS)
 
 
@@ -305,18 +426,18 @@ def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
     assert isolated._LIBCRYPTO is None
     assert isolated.BACKEND == "pure-python"
     assert isolated.msm2 is isolated._msm2_py
+    assert isolated.scalar_mul is isolated.ladder_mul
     _check_msm2_degenerate_terms(isolated.msm2)
+    for pt, s in _scalar_edge_cases()[:12]:
+        assert isolated.scalar_mul(pt, s) == curve.ladder_mul(pt, s), (pt, s)
 
 
 def test_msm2_public_name_is_the_loaded_backend():
+    bound = (curve.msm2, curve.scalar_mul, curve._pow_p, curve.BACKEND)
     if curve._LIBCRYPTO is None:
-        assert (curve.msm2, curve._pow_p, curve.BACKEND) == (curve._msm2_py, curve._pow_p_py, "pure-python")
+        assert bound == (curve._msm2_py, curve.ladder_mul, curve._pow_p_py, "pure-python")
     else:
-        assert (curve.msm2, curve._pow_p, curve.BACKEND) == (
-            curve._msm2_libcrypto,
-            curve._pow_p_libcrypto,
-            "libcrypto",
-        )
+        assert bound == (curve._msm2_libcrypto, curve._scalar_mul_libcrypto, curve._pow_p_libcrypto, "libcrypto")
 
 
 def test_point_add_inverse_and_identity():

@@ -7,7 +7,8 @@ radio. Two properties hold for every input:
 
 * nothing but a ``ProtocolError`` or a ``WireError`` escapes (for a
   registration: a ``WireError``, an ``IntegrityError`` from ``adec`` or
-  a ``ValueError`` from the point decode);
+  a ``MalformedRegistration`` for a blob that unseals to the wrong
+  layout);
 * a rejection leaves the state untouched: the RSU's replay cache and
   session table, the RSU's and region manager's RNG streams, the
   vehicle's (pID, D) pair and the contexts the messages were aimed at;
@@ -178,7 +179,7 @@ def test_the_fuzzed_messages_are_one_step_from_accepted_ones():
 
 # --- the authority's registration handler, through RegistrationRequest and adec ---
 
-REGISTRATION_REJECTS = (wire.WireError, signatures.IntegrityError, ValueError)
+REGISTRATION_REJECTS = (wire.WireError, signatures.IntegrityError, actors.MalformedRegistration)
 # length prefix, then the sealed blob: ephemeral x, tag, and the 16-byte
 # identity with its length and the compressed commitment
 REG_LEN = 2 + 28 + hashes.TAG_LEN + 2 + 16 + 29
