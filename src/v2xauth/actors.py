@@ -9,8 +9,10 @@ vehicles hold a chameleon trapdoor credential and prove it afresh at
 every handover without ever showing a linkable value twice.
 
 Every actor owns its mutable state and a private RNG stream; methods
-take the current harness time explicitly. Nothing here does I/O: the
-network simulation (or a direct-call test) moves the messages around.
+take the current harness time explicitly. Nothing here does I/O or
+records events: the network simulation (or a direct-call test) moves the
+messages around, and ``simnet.engine`` records each role's transcript
+events from what the calls return or raise.
 The handover handlers take wire bytes only, so every verdict goes
 through the total decoders in ``wire``; builders return message objects.
 Rejections are typed exceptions; an honest peer never swallows one
@@ -178,6 +180,7 @@ class TraceResult:
     identity: bytes
     d_star: bytes
     ch: "tuple[int, int]"
+    txid: bytes
     evidence: MisbehaviorReport
 
 
@@ -215,17 +218,6 @@ def _upd_context(epoch: int) -> bytes:
     return b"UPD" + epoch.to_bytes(4, "big")
 
 
-def _emit(sink, now: int, actor: str, event: str, outcome: str, **extra) -> None:
-    if sink is not None:
-        record = {"t": now, "actor": actor, "event": event, "outcome": outcome}
-        record.update(extra)
-        sink(record)
-
-
-def format_event(record: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in record.items())
-
-
 def _recover_pseudonym_key(gs: GroupSecret, pid: bytes) -> "tuple[bytes, bytes]":
     """(pd, D) behind a pseudonym: pID decrypt under b, then h1."""
     pd = symmetric.pid_decrypt(gs.b, pid)
@@ -247,11 +239,10 @@ def _recover_commitment(req: AuthRequest, d: bytes, rsu_pk) -> "tuple[int, tuple
 class Authority:
     """Root of trust: registers vehicles, owns the group secret, traces."""
 
-    def __init__(self, rng, chain: Ledger, node_id: str = "lea", event_sink=None):
+    def __init__(self, rng, chain: Ledger, node_id: str = "lea"):
         self.node_id = node_id
         self.rng = rng
         self.chain = chain
-        self.event_sink = event_sink
         self._sign_sk, self.sign_pk = signatures.keygen_sig(rng)
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self.group_secret = GroupSecret(
@@ -274,7 +265,6 @@ class Authority:
         sig = signatures.sign(self._sign_sk, _receipt_message(identity, ch, t_exp), self.rng)
         txid = self.chain.append(Registration(sig=sig, ch=ch, t_exp=t_exp), self._reg_token, now)
         self._ids[txid] = identity
-        _emit(self.event_sink, now, self.node_id, "register", "ok", txid=txid.hex()[:16])
         return txid, sig, t_exp
 
     def rotate(self, now: int) -> GroupSecret:
@@ -283,7 +273,6 @@ class Authority:
             b=curve.rand_nonzero_scalar(self.rng),
             epoch=self.group_secret.epoch + 1,
         )
-        _emit(self.event_sink, now, self.node_id, "rotate", "ok", epoch=self.group_secret.epoch)
         return self.group_secret
 
     def trace(self, report: MisbehaviorReport, rsu_pk, now: int) -> TraceResult:
@@ -305,28 +294,18 @@ class Authority:
         identity = self._ids.get(tx.txid)
         if identity is None:
             raise UnknownCH("commitment registered by an unknown writer")
-        _emit(
-            self.event_sink,
-            now,
-            self.node_id,
-            "trace",
-            "ok",
-            txid=tx.txid.hex()[:16],
-            identity=identity.hex(),
-        )
-        return TraceResult(identity=identity, d_star=d_star, ch=ch, evidence=report)
+        return TraceResult(identity=identity, d_star=d_star, ch=ch, txid=tx.txid, evidence=report)
 
 
 class RegionManager:
     """Per-domain full node: forwards registrations, mints pseudonyms,
     revokes, and serves its ledger view to subordinate roadside units."""
 
-    def __init__(self, authority: Authority, rng, node_id: str, sync_delay_ms: int = 0, event_sink=None):
+    def __init__(self, authority: Authority, rng, node_id: str, sync_delay_ms: int = 0):
         self.node_id = node_id
         self.rng = rng
         self.params = authority.params
         self.group_secret = authority.group_secret
-        self.event_sink = event_sink
         self._sign_sk, self.sign_pk = signatures.keygen_sig(rng)
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self.view = LedgerView(node_id, authority.chain, sync_delay_ms=sync_delay_ms)
@@ -360,13 +339,10 @@ class RegionManager:
 
     def complete_registration(self, txid: bytes, sig: bytes, t_exp: int, now: int) -> RegistrationReply:
         pid, d = self.mint_pseudonym()
-        _emit(self.event_sink, now, self.node_id, "mint_pseudonym", "ok")
         return RegistrationReply(txid=txid, sig=sig, t_exp=t_exp, pid=pid, d=d)
 
     def revoke(self, ch, now: int) -> bytes:
-        txid = self._chain.append(Revocation(ch=ch), self._rev_token, now)
-        _emit(self.event_sink, now, self.node_id, "revoke", "ok", txid=txid.hex()[:16])
-        return txid
+        return self._chain.append(Revocation(ch=ch), self._rev_token, now)
 
     def receive_group_secret(self, gs: GroupSecret) -> None:
         self.group_secret = gs
@@ -376,13 +352,12 @@ class RoadsideUnit:
     """Edge verifier. Holds only the current group secret and its region's
     ledger view; never learns a vehicle identity."""
 
-    def __init__(self, rsm: RegionManager, rng, node_id: str, freshness_ms: int = FRESHNESS_WINDOW_MS, event_sink=None):
+    def __init__(self, rsm: RegionManager, rng, node_id: str, freshness_ms: int = FRESHNESS_WINDOW_MS):
         self.node_id = node_id
         self.rng = rng
         self.rsm = rsm
         self.params = rsm.params
         self.freshness_ms = freshness_ms
-        self.event_sink = event_sink
         self._sign_sk, self.sign_pk = signatures.keygen_sig(rng)
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self._replay_cache: dict[tuple, int] = {}  # (pid, t1) -> seen at
@@ -416,75 +391,66 @@ class RoadsideUnit:
         order.append((now, key))
 
     def handle_request(self, req_bytes: bytes, now: int) -> "tuple[AuthReply, SessionContext]":
-        try:
-            # freshness and replay need only pID and T1, so the bytes are
-            # checked for both before the decode pays for a square root
-            pid, t1 = request_replay_key(req_bytes)
-            if abs(ts_delta(now, t1)) > self.freshness_ms:
-                raise StaleTimestamp("request timestamp outside the freshness window")
-            self._check_replay(pid, t1)
-            request = AuthRequest.decode(req_bytes)
-            pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
-            beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
-            if ch_candidate is None:
-                raise UnknownCredential("request resolves to the identity point")
-            self.view.sync_to(now)
-            tx = self.view.find_by_ch(ch_candidate)
-            if tx is None:
-                raise UnknownCredential("no registration matches the recomputed commitment")
-            if self.view.is_revoked(ch_candidate):
-                raise RevokedCredential("commitment is on the revocation list")
-            if tx.payload.t_exp <= now:
-                raise ExpiredRegistration("registration past its expiry")
-            self._record_seen(request.pid, request.t1, now)
+        # freshness and replay need only pID and T1, so the bytes are
+        # checked for both before the decode pays for a square root
+        pid, t1 = request_replay_key(req_bytes)
+        if abs(ts_delta(now, t1)) > self.freshness_ms:
+            raise StaleTimestamp("request timestamp outside the freshness window")
+        self._check_replay(pid, t1)
+        request = AuthRequest.decode(req_bytes)
+        pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
+        beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
+        if ch_candidate is None:
+            raise UnknownCredential("request resolves to the identity point")
+        self.view.sync_to(now)
+        tx = self.view.find_by_ch(ch_candidate)
+        if tx is None:
+            raise UnknownCredential("no registration matches the recomputed commitment")
+        if self.view.is_revoked(ch_candidate):
+            raise RevokedCredential("commitment is on the revocation list")
+        if tx.payload.t_exp <= now:
+            raise ExpiredRegistration("registration past its expiry")
+        self._record_seen(request.pid, request.t1, now)
 
-            # fresh pseudonym material for the next handover; never reissue
-            # the same raw pseudonym the vehicle just used
-            pid_new, d_new = self.rsm.mint_pseudonym(avoid_pd=pd_star)
-            m_star = hashes.h3(ch_candidate, d_star, beta_star, request.t1)
-            beta_rsu = curve.rand_nonzero_scalar(self.rng)
-            t2 = now
-            ks = hashes.h4(beta_rsu, m_star, t2)
-            s2 = symmetric.sym_encrypt(
-                m_star, curve.scalar_to_bytes(beta_rsu) + pid_new + d_new, _s2_context(t2)
-            )
-            s3 = hashes.h5(s2, beta_rsu, pid_new, d_new, m_star, ks, t2)
-            reply = AuthReply(s2=s2, s3=s3, t2=t2)
-            ctx = SessionContext(
-                t1=request.t1,
-                beta_own=beta_rsu,
-                m_secret=m_star,
-                ks=ks,
-                req_bytes=req_bytes,
-                rep_bytes=reply.encode(),
-                ch=ch_candidate,
-                t_exp=tx.payload.t_exp,
-            )
-            _emit(self.event_sink, now, self.node_id, "verify_request", "ok")
-            return reply, ctx
-        except (ProtocolError, WireError) as exc:
-            _emit(self.event_sink, now, self.node_id, "verify_request", type(exc).__name__)
-            raise
+        # fresh pseudonym material for the next handover; never reissue
+        # the same raw pseudonym the vehicle just used
+        pid_new, d_new = self.rsm.mint_pseudonym(avoid_pd=pd_star)
+        m_star = hashes.h3(ch_candidate, d_star, beta_star, request.t1)
+        beta_rsu = curve.rand_nonzero_scalar(self.rng)
+        t2 = now
+        ks = hashes.h4(beta_rsu, m_star, t2)
+        s2 = symmetric.sym_encrypt(
+            m_star, curve.scalar_to_bytes(beta_rsu) + pid_new + d_new, _s2_context(t2)
+        )
+        s3 = hashes.h5(s2, beta_rsu, pid_new, d_new, m_star, ks, t2)
+        reply = AuthReply(s2=s2, s3=s3, t2=t2)
+        ctx = SessionContext(
+            t1=request.t1,
+            beta_own=beta_rsu,
+            m_secret=m_star,
+            ks=ks,
+            req_bytes=req_bytes,
+            rep_bytes=reply.encode(),
+            ch=ch_candidate,
+            t_exp=tx.payload.t_exp,
+        )
+        return reply, ctx
 
     def handle_ack(self, ctx: SessionContext, ack_bytes: bytes, now: int) -> SessionContext:
         # a replayed ACK must not confirm the session again, nor put a
         # session dropped since (revoked, expired) back in the table
         if ctx.established:
-            _emit(self.event_sink, now, self.node_id, "confirm", "ReplayDetected")
             raise ReplayDetected("session already confirmed")
         ack = AuthAck.decode(ack_bytes)
         expected = hashes.h6(ctx.m_secret, ctx.ks, ctx.req_bytes, ctx.rep_bytes)
         if ack.ack != expected:
-            _emit(self.event_sink, now, self.node_id, "confirm", "BadAck")
             raise BadAck("acknowledgement does not match the transcript")
         ctx.established = True
         self.sessions[ctx.ch] = ctx
-        _emit(self.event_sink, now, self.node_id, "confirm", "ok")
         return ctx
 
     def report_malicious(self, req_bytes: bytes, now: int) -> MisbehaviorReport:
         sig_rt = signatures.sign(self._sign_sk, req_bytes, self.rng)
-        _emit(self.event_sink, now, self.node_id, "report", "ok")
         return MisbehaviorReport(rsu_id=self.node_id, sig_rt=sig_rt, req_bytes=req_bytes)
 
     def rotate_sessions(self, now: int) -> "list[tuple[SessionContext, UpdateMsg]]":
@@ -507,7 +473,6 @@ class RoadsideUnit:
             (ctx, UpdateMsg(s_upd=symmetric.sym_encrypt(ctx.ks, pid_new + d_new, context)))
             for ctx, (pid_new, d_new) in zip(live, self.rsm.mint_pseudonyms(len(live)))
         ]
-        _emit(self.event_sink, now, self.node_id, "rotate_sessions", "ok", count=len(updates))
         return updates
 
 
@@ -515,11 +480,10 @@ class Vehicle:
     """Prover. Owns the chameleon trapdoor; performs only symmetric and
     hash work during a handover."""
 
-    def __init__(self, identity: bytes, rng, node_id: str = "vn", event_sink=None):
+    def __init__(self, identity: bytes, rng, node_id: str = "vn"):
         self.identity = identity
         self.rng = rng
         self.node_id = node_id
-        self.event_sink = event_sink
         self.credential: ChameleonCredential | None = None
         self._pending_keygen = None
         self.sessions: dict[str, SessionContext] = {}  # peer rsu id -> last ctx
@@ -550,11 +514,9 @@ class Vehicle:
         x, m0, r0, y_point, commitment = self._pending_keygen
         message = _receipt_message(self.identity, commitment, reply.t_exp)
         if not signatures.verify(self.params_sign_pk, reply.sig, message):
-            _emit(self.event_sink, now, self.node_id, "finish_registration", "BadSignature")
             raise BadSignature("authority receipt does not verify")
         payload = Registration(sig=reply.sig, ch=commitment, t_exp=reply.t_exp)
         if not view.verify_inclusion(reply.txid, payload):
-            _emit(self.event_sink, now, self.node_id, "finish_registration", "NotOnChain")
             raise NotOnChain("receipt is not anchored on the chain")
         if reply.t_exp <= now:
             raise ExpiredWindow("registration already expired")
@@ -571,7 +533,6 @@ class Vehicle:
         )
         self._pending_keygen = None
         self.refill_pool()
-        _emit(self.event_sink, now, self.node_id, "finish_registration", "ok")
         return self.credential
 
     # -- handover ---------------------------------------------------------
@@ -616,14 +577,12 @@ class Vehicle:
         m = (cred.trapdoor.k - r * cred.trapdoor.x) % Q
         request = AuthRequest(pid=cred.pid, m=m, a_point=a_pt, s1=s1, t1=t1)
         ctx = SessionContext(t1=t1, beta_own=beta, req_bytes=request.encode())
-        _emit(self.event_sink, now, self.node_id, "start_handover", "ok")
         return request, ctx
 
     def handle_reply(self, ctx: SessionContext, rep_bytes: bytes, now: int) -> "tuple[AuthAck, bytes]":
         reply = AuthReply.decode(rep_bytes)
         cred = self.credential
         if abs(ts_delta(now, reply.t2)) > FRESHNESS_WINDOW_MS:
-            _emit(self.event_sink, now, self.node_id, "handle_reply", "StaleTimestamp")
             raise StaleTimestamp("reply timestamp outside the freshness window")
         m_secret = hashes.h3(cred.commitment, cred.d, ctx.beta_own, ctx.t1)
         plain = symmetric.sym_decrypt(m_secret, reply.s2, _s2_context(reply.t2))
@@ -634,7 +593,6 @@ class Vehicle:
         s3_expected = hashes.h5(reply.s2, beta_rsu, pid_new, d_new, m_secret, ks, reply.t2)
         if s3_expected != reply.s3:
             # key confirmation failed: current (pID, D) stay untouched
-            _emit(self.event_sink, now, self.node_id, "handle_reply", "BadKeyConfirm")
             raise BadKeyConfirm("verifier key-confirmation tag mismatch")
         cred.pid = pid_new
         cred.d = d_new
@@ -642,14 +600,12 @@ class Vehicle:
         ctx.ks = ks
         ctx.rep_bytes = rep_bytes
         ack = AuthAck(ack=hashes.h6(m_secret, ks, ctx.req_bytes, ctx.rep_bytes))
-        _emit(self.event_sink, now, self.node_id, "handle_reply", "ok")
         return ack, ks
 
     def apply_update(self, update: UpdateMsg, ks: bytes, epoch: int, now: int) -> None:
         plain = symmetric.sym_decrypt(ks, update.s_upd, _upd_context(epoch))
         self.credential.pid = plain[:16]
         self.credential.d = plain[16:36]
-        _emit(self.event_sink, now, self.node_id, "apply_update", "ok", epoch=epoch)
 
 
 # --- direct-call orchestration (tests, benchmarks, CLI) -----------------------

@@ -12,6 +12,16 @@ The adversary is a Dolev-Yao script over open links: capture, replay,
 tamper, drop, inject (with source spoofing). Scripts that would touch a
 secure link are rejected at validation time rather than silently doing
 nothing.
+
+The hosts own the event transcript; the actors record nothing, and
+``Host.emit`` is the one place that builds an event record. A host
+records ``<event> ok`` right after the actor call returns, with the
+call's extras (a txid prefix, an epoch, a count). A typed rejection
+(``ProtocolError`` or ``WireError``) is recorded once, in
+``Engine.deliver``: first as ``<event> <Exc>`` when the delivered kind
+has a handler event in ``HANDLER_EVENTS`` (REQ -> verify_request,
+REP -> handle_reply, ACK -> confirm, REG_REP -> finish_registration),
+then as ``reject <Exc> kind=<kind>`` for every kind.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ from ..actors import (
     RegionManager,
     RoadsideUnit,
     Vehicle,
-    format_event,
 )
 from ..ledger import Ledger
 from ..wire import (
@@ -40,6 +49,13 @@ from ..wire import (
 
 OPEN_KINDS = {"REQ", "REP", "ACK", "S_UPD"}
 SECURE_KINDS = {"REG_REQ", "REG_FWD", "REG_RCPT", "REG_REP", "GK", "RPT"}
+# the actor call that handles each kind, named as the event its rejection records
+HANDLER_EVENTS = {
+    "REQ": "verify_request",
+    "REP": "handle_reply",
+    "ACK": "confirm",
+    "REG_REP": "finish_registration",
+}
 
 
 class SimnetError(Exception):
@@ -186,13 +202,10 @@ def validate_script(steps, links):
 @dataclass
 class Transcript:
     messages: list = field(default_factory=list)  # (t, src, dst, kind, payload, note)
-    events: list = field(default_factory=list)  # dict records from actors/hosts
+    events: list = field(default_factory=list)  # dict records from Host.emit
 
     def record_message(self, t, msg: Message):
         self.messages.append((t, msg.src, msg.dst, msg.kind, msg.payload, msg.note))
-
-    def record_event(self, record: dict):
-        self.events.append(record)
 
     def lines(self):
         out = []
@@ -202,7 +215,7 @@ class Transcript:
         return out
 
     def event_lines(self):
-        return [format_event(r) for r in self.events]
+        return [" ".join(f"{k}={v}" for k, v in r.items()) for r in self.events]
 
     def to_text(self) -> str:
         return "\n".join(self.lines() + ["--"] + self.event_lines()) + "\n"
@@ -227,7 +240,7 @@ class Host:
         raise NotImplementedError
 
     def emit(self, now, event, outcome, **extra):
-        actors._emit(self.engine.transcript.record_event, now, self.name, event, outcome, **extra)
+        self.engine.transcript.events.append({"t": now, "actor": self.name, "event": event, "outcome": outcome, **extra})
 
 
 class VehicleHost(Host):
@@ -248,6 +261,7 @@ class VehicleHost(Host):
         except ProtocolError as exc:
             self.emit(now, "start_handover", type(exc).__name__)
             return
+        self.emit(now, "start_handover", "ok")
         self.pending_ctx[rsu_name] = ctx
         self.engine.send(self.name, rsu_name, "REQ", request.encode(), now)
 
@@ -257,6 +271,7 @@ class VehicleHost(Host):
             view = self.engine.rsms[self.home_rsm].rsm.view
             view.sync_to(now)
             self.vn.finish_registration(reply, view, now)
+            self.emit(now, "finish_registration", "ok")
             self.emit(now, "registered", "ok")
         elif msg.kind == "REP":
             ctx = self.pending_ctx.get(msg.src)
@@ -264,6 +279,7 @@ class VehicleHost(Host):
                 self.emit(now, "handle_reply", "NoSession")
                 return
             ack, ks = self.vn.handle_reply(ctx, msg.payload, now)
+            self.emit(now, "handle_reply", "ok")
             self.vn.sessions[msg.src] = ctx
             self.emit(now, "session_key", "ok", ks=ks.hex())
             self.engine.send(self.name, msg.src, "ACK", ack.encode(), now)
@@ -274,7 +290,8 @@ class VehicleHost(Host):
             if session is None:
                 self.emit(now, "apply_update", "NoSession")
                 return
-            self.vn.apply_update(upd, session.ks, epoch, now)  # emits its own event
+            self.vn.apply_update(upd, session.ks, epoch, now)
+            self.emit(now, "apply_update", "ok", epoch=epoch)
 
 
 class RsuHost(Host):
@@ -287,6 +304,7 @@ class RsuHost(Host):
     def handle(self, msg: Message, now: int):
         if msg.kind == "REQ":
             reply, ctx = self.rsu.handle_request(msg.payload, now)
+            self.emit(now, "verify_request", "ok")
             self.pending_ctx[msg.src] = ctx
             self.last_request_bytes = msg.payload
             self.engine.send(self.name, msg.src, "REP", reply.encode(), now)
@@ -296,11 +314,14 @@ class RsuHost(Host):
                 self.emit(now, "confirm", "NoSession")
                 return
             self.rsu.handle_ack(ctx, msg.payload, now)
+            self.emit(now, "confirm", "ok")
             self.emit(now, "session_key", "ok", ks=ctx.ks.hex())
         elif msg.kind == "GK":
             # region server already adopted; mint per-session updates
             epoch = self.rsu.group_secret.epoch
-            for ctx, upd in self.rsu.rotate_sessions(now):
+            updates = self.rsu.rotate_sessions(now)
+            self.emit(now, "rotate_sessions", "ok", count=len(updates))
+            for ctx, upd in updates:
                 peer = self._peer_for(ctx)
                 if peer is not None:
                     self.engine.send(
@@ -318,6 +339,7 @@ class RsuHost(Host):
             self.emit(now, "report", "NothingSeen")
             return
         report = self.rsu.report_malicious(self.last_request_bytes, now)
+        self.emit(now, "report", "ok")
         payload = (
             len(report.rsu_id).to_bytes(2, "big")
             + report.rsu_id.encode()
@@ -349,6 +371,7 @@ class RsmHost(Host):
             if self.corrupt_txid and self.rsm.view.ledger.entries:
                 txid = self.rsm.view.ledger.entries[0].txid
             reply = self.rsm.complete_registration(txid, sig, t_exp, now)
+            self.emit(now, "mint_pseudonym", "ok")
             self.engine.send(self.name, vehicle, "REG_REP", reply.encode(), now)
         elif msg.kind == "GK":
             gk = int.from_bytes(msg.payload[:28], "big")
@@ -371,6 +394,7 @@ class LeaHost(Host):
         if msg.kind == "REG_FWD":
             request = RegistrationRequest.decode(msg.payload)
             txid, sig, t_exp = self.lea.handle_registration(request, now)
+            self.emit(now, "register", "ok", txid=txid.hex()[:16])
             blob = txid + sig + t_exp.to_bytes(8, "big") + msg.payload
             self.engine.send(self.name, msg.src, "REG_RCPT", blob, now)
         elif msg.kind == "RPT":
@@ -380,15 +404,18 @@ class LeaHost(Host):
             req_bytes = msg.payload[2 + n + 56 :]
             rsu = self.engine.rsus[rsu_id].rsu
             report = actors.MisbehaviorReport(rsu_id=rsu_id, sig_rt=sig_rt, req_bytes=req_bytes)
-            self.lea.trace(report, rsu.sign_pk, now)  # emits its own event
+            result = self.lea.trace(report, rsu.sign_pk, now)
+            self.emit(now, "trace", "ok", txid=result.txid.hex()[:16], identity=result.identity.hex())
 
     def rotate(self, revoked_names, now: int):
         for vn_name in revoked_names:
             vn = self.engine.vehicles[vn_name].vn
             if vn.credential is not None:
-                first_rsm = next(iter(self.engine.rsms.values())).rsm
-                first_rsm.revoke(vn.credential.commitment, now)
+                rsm_host = next(iter(self.engine.rsms.values()))
+                txid = rsm_host.rsm.revoke(vn.credential.commitment, now)
+                rsm_host.emit(now, "revoke", "ok", txid=txid.hex()[:16])
         gs = self.lea.rotate(now)
+        self.emit(now, "rotate", "ok", epoch=gs.epoch)
         payload = (
             gs.gk.to_bytes(28, "big") + gs.b.to_bytes(28, "big") + gs.epoch.to_bytes(4, "big")
         )
@@ -423,15 +450,13 @@ class Engine:
     # -- topology ------------------------------------------------------------
 
     def add_lea(self, name: str) -> Authority:
-        self.lea = Authority(self.node_rng(), self.chain, node_id=name, event_sink=self.transcript.record_event)
+        self.lea = Authority(self.node_rng(), self.chain, node_id=name)
         self.lea_name = name
         self.hosts[name] = LeaHost(name, self, self.lea)
         return self.lea
 
     def add_rsm(self, name: str, sync_delay_ms: int = 1) -> RegionManager:
-        rsm = RegionManager(
-            self.lea, self.node_rng(), name, sync_delay_ms=sync_delay_ms, event_sink=self.transcript.record_event
-        )
+        rsm = RegionManager(self.lea, self.node_rng(), name, sync_delay_ms=sync_delay_ms)
         host = RsmHost(name, self, rsm)
         self.hosts[name] = host
         self.rsms[name] = host
@@ -439,13 +464,7 @@ class Engine:
         return rsm
 
     def add_rsu(self, name: str, rsm_name: str, freshness_ms: int = actors.FRESHNESS_WINDOW_MS) -> RoadsideUnit:
-        rsu = RoadsideUnit(
-            self.rsms[rsm_name].rsm,
-            self.node_rng(),
-            name,
-            freshness_ms=freshness_ms,
-            event_sink=self.transcript.record_event,
-        )
+        rsu = RoadsideUnit(self.rsms[rsm_name].rsm, self.node_rng(), name, freshness_ms=freshness_ms)
         host = RsuHost(name, self, rsu)
         self.hosts[name] = host
         self.rsus[name] = host
@@ -453,7 +472,7 @@ class Engine:
         return rsu
 
     def add_vehicle(self, name: str, identity: bytes, home_rsm: str) -> Vehicle:
-        vn = Vehicle(identity, self.node_rng(), node_id=name, event_sink=self.transcript.record_event)
+        vn = Vehicle(identity, self.node_rng(), node_id=name)
         host = VehicleHost(name, self, vn, home_rsm)
         self.hosts[name] = host
         self.vehicles[name] = host
@@ -502,7 +521,10 @@ class Engine:
         try:
             host.handle(msg, self.now)
         except (ProtocolError, WireError) as exc:
-            host.emit(self.now, "reject", type(exc).__name__, kind=msg.kind)
+            outcome = type(exc).__name__
+            if msg.kind in HANDLER_EVENTS:
+                host.emit(self.now, HANDLER_EVENTS[msg.kind], outcome)
+            host.emit(self.now, "reject", outcome, kind=msg.kind)
 
     def run(self, limit_ms: int = 10_000_000):
         while self._heap:

@@ -139,7 +139,8 @@ def build_engine(spec: ScenarioSpec, seed: "int | None" = None) -> Engine:
                     raise ScenarioValidationError(f"unknown corrupt= value: {opts['corrupt']}")
                 engine.rsms[name].corrupt_txid = True
         elif role == "rsu":
-            engine.add_rsu(name, opts["rsm"], freshness_ms=int(opts.get("freshness_ms", 500)))
+            window = {"freshness_ms": int(opts["freshness_ms"])} if "freshness_ms" in opts else {}
+            engine.add_rsu(name, opts["rsm"], **window)
         elif role == "vn":
             identity = bytes.fromhex(opts["id"]) if "id" in opts else _default_identity(name)
             engine.add_vehicle(name, identity, opts["rsm"])

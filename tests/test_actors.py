@@ -204,28 +204,6 @@ def test_stale_and_replayed_bytes_rejected_before_the_point_decode():
         rsu.handle_request(junk, now=2001)
 
 
-def test_wire_rejects_at_the_rsu_emit_a_verify_request_event():
-    chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x200)
-    events = []
-    rsu = actors.RoadsideUnit(rsms[0], random.Random(0xA7), "rsu-ev", event_sink=events.append)
-    actors.register_vehicle(vn, rsms[0], lea, now=0)
-    request, _ = vn.start_handover(rsu.sign_pk, now=2000)
-    raw = request.encode()
-    with pytest.raises(wire.WrongLength):
-        rsu.handle_request(raw[:103], now=2000)
-    with pytest.raises(wire.OffCurvePoint):
-        rsu.handle_request(raw[:44] + (3 + curve.P).to_bytes(28, "big") + raw[72:], now=2000)
-    with pytest.raises(wire.NonCanonicalScalar):
-        rsu.handle_request(raw[:16] + curve.Q.to_bytes(28, "big") + raw[44:], now=2000)
-    rsu.handle_request(raw, now=2000)
-    assert [(e["actor"], e["event"], e["outcome"]) for e in events] == [
-        ("rsu-ev", "verify_request", "WrongLength"),
-        ("rsu-ev", "verify_request", "OffCurvePoint"),
-        ("rsu-ev", "verify_request", "NonCanonicalScalar"),
-        ("rsu-ev", "verify_request", "ok"),
-    ]
-
-
 def test_replay_cache_holds_exactly_the_keys_inside_twice_the_window():
     chain, lea, rsms, rsus, vn = make_domain(0xA7 + 0x200)
     rsu = rsus[0]
@@ -713,6 +691,7 @@ def test_trace_recovers_identity_and_audit_agrees():
     result = lea.trace(report, rsus[0].sign_pk, now=2100)
     assert result.identity == vn.identity
     assert result.ch == vn.credential.commitment
+    assert result.txid == vn.credential.txid
 
     verdict = actors.audit_frame_claim(
         req_bytes=report.req_bytes,

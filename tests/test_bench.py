@@ -85,11 +85,14 @@ def test_stall_longer_than_the_freshness_window_loses_the_request(monkeypatch):
 
 
 def test_forced_saturation_drops_requests():
-    # offered load a fixed multiple (4x) of the capacity measured first;
-    # the window shrinks with the rate so the stream stays near 4000
-    # requests, whose blinded points dominate the build time
-    _, capacity = bench.bench_loss_ratio(1000, 100, interval_ms=100)
-    rate = 4 * math.ceil(capacity)
+    # offered load a fixed multiple (4x) of the capacity read from the
+    # verifier's thread-CPU cost per request. A preempted thread's CPU
+    # clock stops, so a stall cannot make the probe read low, and a higher
+    # rate only saturates harder. The window shrinks with the rate so the
+    # stream stays near 4000 requests, whose blinded points dominate the
+    # build time
+    _, slope_ms, _ = bench.bench_batch_scaling(batch_sizes=(1, 10, 50, 100))
+    rate = 4 * math.ceil(1000 / slope_ms)
     window_ms = max(1, 4000 * 1000 // rate)
     rows, _ = bench.bench_loss_ratio(rate, window_ms, interval_ms=window_ms)
     total_offered = sum(r[1] for r in rows)

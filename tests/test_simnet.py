@@ -1,5 +1,6 @@
 import pytest
 
+from v2xauth.crypto import curve
 from v2xauth.simnet import scenarios
 from v2xauth.simnet.engine import DeadlockDetected, ScenarioValidationError
 
@@ -44,6 +45,53 @@ expect actor=rsu1 event=reject outcome=ReplayDetected count=1
     transcript = scenarios.run_scenario(text)
     assert transcript.count_events(actor="rsu1", event="session_key", outcome="ok") == 1
     assert transcript.count_events(actor="rsu1", event="confirm", outcome="ok") == 1
+
+
+def _request_bytes(m: int, x: int, t1: int) -> bytes:
+    # pID, m, A's x, S1 and T1 in wire order; only the decode sees them
+    return bytes(range(16)) + m.to_bytes(28, "big") + x.to_bytes(28, "big") + bytes(28) + t1.to_bytes(4, "big")
+
+
+def test_handler_rejects_record_the_handler_event_before_the_reject():
+    # three malformed REQs ahead of an honest handover, then a 1-byte REP
+    # and a 1-byte ACK spoofed into that handover while it is open
+    malformed = {
+        900: _request_bytes(1, curve.GX, 900)[:103],
+        910: _request_bytes(1, 3 + curve.P, 910),
+        920: _request_bytes(curve.Q, curve.GX, 920),
+    }
+    text = scenarios.HONEST_SINGLE_DOMAIN
+    for at, payload in malformed.items():
+        text += f"adversary inject dst=rsu1 kind=REQ at={at} payload={payload.hex()}\n"
+    text += "adversary inject src=rsu1 dst=vn1 kind=REP at=1001 payload=00\n"
+    text += "adversary inject src=vn1 dst=rsu1 kind=ACK at=1003 payload=00\n"
+    transcript = scenarios.run_scenario(text)
+
+    def outcomes(actor):
+        return [(r["event"], r["outcome"], r.get("kind")) for r in transcript.events if r["actor"] == actor]
+
+    assert outcomes("rsu1") == [
+        ("verify_request", "WrongLength", None),
+        ("reject", "WrongLength", "REQ"),
+        ("verify_request", "OffCurvePoint", None),
+        ("reject", "OffCurvePoint", "REQ"),
+        ("verify_request", "NonCanonicalScalar", None),
+        ("reject", "NonCanonicalScalar", "REQ"),
+        ("verify_request", "ok", None),
+        ("confirm", "WrongLength", None),
+        ("reject", "WrongLength", "ACK"),
+        ("confirm", "ok", None),
+        ("session_key", "ok", None),
+    ]
+    assert outcomes("vn1") == [
+        ("finish_registration", "ok", None),
+        ("registered", "ok", None),
+        ("start_handover", "ok", None),
+        ("handle_reply", "WrongLength", None),
+        ("reject", "WrongLength", "REP"),
+        ("handle_reply", "ok", None),
+        ("session_key", "ok", None),
+    ]
 
 
 def test_tamper_scenarios():
