@@ -159,6 +159,7 @@ class SessionContext:
     rep_bytes: bytes = b""
     # roadside bookkeeping
     ch: "tuple[int, int] | None" = None
+    ch_key: bytes = b""  # ch compressed: the ledger's key for it
     t_exp: int = 0  # the commitment's registration expiry
     established: bool = False
 
@@ -184,26 +185,30 @@ class TraceResult:
     evidence: MisbehaviorReport
 
 
-def _receipt_message(identity: bytes, ch, t_exp: int) -> bytes:
-    """Unambiguous byte string the authority signs at registration."""
-    return len(identity).to_bytes(2, "big") + identity + curve.point_compress(ch) + t_exp.to_bytes(8, "big")
+def _receipt_message(identity: bytes, ch_key: bytes, t_exp: int) -> bytes:
+    """Unambiguous byte string the authority signs at registration;
+    ``ch_key`` is the commitment's 29-byte compressed form."""
+    return len(identity).to_bytes(2, "big") + identity + ch_key + t_exp.to_bytes(8, "big")
 
 
-def _open_registration(plain: bytes) -> "tuple[bytes, tuple[int, int]]":
-    """(identity, CH) from an unsealed registration: a 2-byte identity
-    length, the identity and CH's 29-byte compressed form, nothing more."""
+def _open_registration(plain: bytes) -> "tuple[bytes, bytes]":
+    """(identity, CH's compressed key) from an unsealed registration: a
+    2-byte identity length, the identity and the 29-byte key, nothing
+    more. The key is checked to name a point other than the identity
+    without decoding it: nothing downstream reads CH's y."""
     if len(plain) < 2 + 29:
         raise MalformedRegistration("registration plaintext too short")
     id_len = int.from_bytes(plain[:2], "big")
     if len(plain) != 2 + id_len + 29:
         raise MalformedRegistration("identity length does not fit the plaintext")
+    ch_key = plain[2 + id_len :]
+    if ch_key == bytes(29):
+        raise MalformedRegistration("commitment is the identity point")
     try:
-        ch = curve.point_decompress(plain[2 + id_len :])
+        curve.check_compressed(ch_key)
     except ValueError as exc:
         raise MalformedRegistration(f"commitment does not decode: {exc}") from exc
-    if ch is None:
-        raise MalformedRegistration("commitment is the identity point")
-    return plain[2 : 2 + id_len], ch
+    return plain[2 : 2 + id_len], ch_key
 
 
 def _s1_context(t1: int) -> bytes:
@@ -259,11 +264,11 @@ class Authority:
         )
 
     def handle_registration(self, request: RegistrationRequest, now: int) -> "tuple[bytes, bytes, int]":
-        identity, ch = _open_registration(signatures.adec(self._enc_sk, request.c1))
-        self.chain.check_registrable(ch, now)  # before the signature draws from the RNG
+        identity, ch_key = _open_registration(signatures.adec(self._enc_sk, request.c1))
+        self.chain.check_registrable(ch_key, now)  # before the signature draws from the RNG
         t_exp = now + REGISTRATION_LIFETIME_MS
-        sig = signatures.sign(self._sign_sk, _receipt_message(identity, ch, t_exp), self.rng)
-        txid = self.chain.append(Registration(sig=sig, ch=ch, t_exp=t_exp), self._reg_token, now)
+        sig = signatures.sign(self._sign_sk, _receipt_message(identity, ch_key, t_exp), self.rng)
+        txid = self.chain.append(Registration.from_key(sig, ch_key, t_exp), self._reg_token, now)
         self._ids[txid] = identity
         return txid, sig, t_exp
 
@@ -288,7 +293,7 @@ class Authority:
         if ch is None:
             raise UnknownCH("request resolves to the identity point")
         self.view.sync_to(now)
-        tx = self.view.find_by_ch(ch)
+        tx = self.view.find_by_ch(curve.point_compress(ch))
         if tx is None:
             raise UnknownCH("no registration for the recomputed commitment")
         identity = self._ids.get(tx.txid)
@@ -402,11 +407,12 @@ class RoadsideUnit:
         beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
         if ch_candidate is None:
             raise UnknownCredential("request resolves to the identity point")
+        ch_key = curve.point_compress(ch_candidate)
         self.view.sync_to(now)
-        tx = self.view.find_by_ch(ch_candidate)
+        tx = self.view.find_by_ch(ch_key)
         if tx is None:
             raise UnknownCredential("no registration matches the recomputed commitment")
-        if self.view.is_revoked(ch_candidate):
+        if self.view.is_revoked(ch_key):
             raise RevokedCredential("commitment is on the revocation list")
         if tx.payload.t_exp <= now:
             raise ExpiredRegistration("registration past its expiry")
@@ -415,7 +421,7 @@ class RoadsideUnit:
         # fresh pseudonym material for the next handover; never reissue
         # the same raw pseudonym the vehicle just used
         pid_new, d_new = self.rsm.mint_pseudonym(avoid_pd=pd_star)
-        m_star = hashes.h3(ch_candidate, d_star, beta_star, request.t1)
+        m_star = hashes.h3(ch_key, d_star, beta_star, request.t1)
         beta_rsu = curve.rand_nonzero_scalar(self.rng)
         t2 = now
         ks = hashes.h4(beta_rsu, m_star, t2)
@@ -432,6 +438,7 @@ class RoadsideUnit:
             req_bytes=req_bytes,
             rep_bytes=reply.encode(),
             ch=ch_candidate,
+            ch_key=ch_key,
             t_exp=tx.payload.t_exp,
         )
         return reply, ctx
@@ -465,7 +472,7 @@ class RoadsideUnit:
         own session-key keystream.
         """
         self.view.sync_to(now)
-        for ch in [ch for ch, ctx in self.sessions.items() if ctx.t_exp <= now or self.view.is_revoked(ch)]:
+        for ch in [ch for ch, ctx in self.sessions.items() if ctx.t_exp <= now or self.view.is_revoked(ctx.ch_key)]:
             del self.sessions[ch]
         live = list(self.sessions.values())
         context = _upd_context(self.group_secret.epoch)
@@ -512,10 +519,11 @@ class Vehicle:
         if self._pending_keygen is None:
             raise ProtocolError("no registration in flight")
         x, m0, r0, y_point, commitment = self._pending_keygen
-        message = _receipt_message(self.identity, commitment, reply.t_exp)
+        ch_key = curve.point_compress(commitment)
+        message = _receipt_message(self.identity, ch_key, reply.t_exp)
         if not signatures.verify(self.params_sign_pk, reply.sig, message):
             raise BadSignature("authority receipt does not verify")
-        payload = Registration(sig=reply.sig, ch=commitment, t_exp=reply.t_exp)
+        payload = Registration.from_key(reply.sig, ch_key, reply.t_exp)
         if not view.verify_inclusion(reply.txid, payload):
             raise NotOnChain("receipt is not anchored on the chain")
         if reply.t_exp <= now:
@@ -584,7 +592,7 @@ class Vehicle:
         cred = self.credential
         if abs(ts_delta(now, reply.t2)) > FRESHNESS_WINDOW_MS:
             raise StaleTimestamp("reply timestamp outside the freshness window")
-        m_secret = hashes.h3(cred.commitment, cred.d, ctx.beta_own, ctx.t1)
+        m_secret = hashes.h3(curve.point_compress(cred.commitment), cred.d, ctx.beta_own, ctx.t1)
         plain = symmetric.sym_decrypt(m_secret, reply.s2, _s2_context(reply.t2))
         beta_rsu = int.from_bytes(plain[:28], "big")
         pid_new = plain[28:44]
@@ -676,7 +684,8 @@ def audit_frame_claim(
     tx = chain.get(txid)
     if tx is None or not isinstance(tx.payload, Registration):
         raise InvalidEvidence("claimed transaction not found")
-    message = _receipt_message(claimed_identity, tx.payload.ch, tx.payload.t_exp)
+    message = _receipt_message(claimed_identity, tx.payload.ch_key, tx.payload.t_exp)
     if not signatures.verify(lea_sign_pk, tx.payload.sig, message):
         raise InvalidEvidence("registration receipt does not bind the claimed identity")
-    return "framed" if tx.payload.ch != ch_evidence else "consistent"
+    # keys, not points: the identity compresses to 29 zero bytes, no key on the chain
+    return "framed" if tx.payload.ch_key != curve.point_compress(ch_evidence) else "consistent"

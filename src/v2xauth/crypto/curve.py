@@ -85,6 +85,14 @@ subgroup: 12 tables of 256 powers plus one 256-entry dict, built at
 import in a few ms and holding about 0.2 MB. A root costs 0.13-0.17 ms
 on the same host with the native exponent (0.23 ms with ``pow``), where
 Tonelli-Shanks took 2.1-2.3 ms.
+
+Only a caller that needs y pays for a root: the roadside unit's request
+decode (A, for ``msm2``), ``signatures.adec`` (the ephemeral point, for
+``scalar_mul``) and ``point_decompress`` (``Registration.ch`` on its
+first read). A caller that only compares, hashes or stores a 29-byte
+compressed point needs to know that it names one: the authority's check
+of a sealed commitment and ``ledger.snapshot_load`` call
+``check_compressed``, one exponentiation (Euler's criterion).
 """
 
 from __future__ import annotations
@@ -696,6 +704,9 @@ def point_compress(pt) -> bytes:
 
 
 def point_decompress(data: bytes):
+    """The point behind a 29-byte ``point_compress`` encoding (None for
+    29 zero bytes); costs a square root. A caller that only needs to know
+    the bytes name a point uses ``check_compressed``."""
     if len(data) != 29:
         raise ValueError("compressed point must be 29 bytes")
     if data == bytes(29):
@@ -709,6 +720,35 @@ def point_decompress(data: bytes):
     if (pt[1] & 1) != (prefix & 1):
         pt = (pt[0], P - pt[1])
     return pt
+
+
+_EULER_EXP = (P - 1) // 2
+
+
+def check_compressed(data: bytes) -> bytes:
+    """Return ``data`` when it encodes a point other than the identity,
+    else raise ValueError. It accepts exactly the 29-byte strings that
+    ``point_decompress`` decodes to a non-identity point, without a root.
+
+    Euler's criterion stands in for the square root: x in [0, P) is a
+    point's abscissa exactly when (x^3 + ax + b)^((P-1)/2) = 1, one
+    exponentiation through ``_pow_p``. The right-hand side is never 0 on
+    P-224, since a point with y = 0 would have order 2 and the group
+    order is prime. Measured as thread CPU time on a shared 2-core
+    x86-64 host (Python 3.11, native exponent), 300 points interleaved,
+    median of a call: 19.5 us against 108 us for ``point_decompress``
+    (33-36 against 176-189 us in a slower spell of the same host).
+    """
+    if len(data) != 29:
+        raise ValueError("compressed point must be 29 bytes")
+    if data == bytes(29):
+        raise ValueError("identity point")
+    if data[0] not in (2, 3):
+        raise ValueError("bad point prefix")
+    x = int.from_bytes(data[1:], "big")
+    if x >= P or _pow_p((x * x * x + A * x + B) % P, _EULER_EXP) != 1:
+        raise ValueError("x out of range or not on curve")
+    return data
 
 
 # --- Scalar helpers -----------------------------------------------------------

@@ -146,10 +146,12 @@ def h2(pid: bytes, beta: int, a_pt, s1: bytes, d: bytes, rsu_pk, t1: int) -> int
     return hash_to_scalar(pre)
 
 
-def h3(ch, d: bytes, beta: int, t1: int) -> bytes:
-    """Shared secret M: commitment point, current key and the vehicle nonce."""
+def h3(ch_key: bytes, d: bytes, beta: int, t1: int) -> bytes:
+    """Shared secret M: the commitment point's 29-byte compressed form
+    (which the roadside unit already holds as its ledger key), current
+    key and the vehicle nonce."""
     pre = b"".join((
-        _TAG_H3, _POINT_LEN, point_compress(ch),
+        _TAG_H3, _POINT_LEN, ch_key,
         len(d).to_bytes(4, "big"), d,
         _SCALAR_LEN, beta.to_bytes(SCALAR_BYTES, "big"),
         _TS_LEN, _ts(t1),

@@ -48,7 +48,7 @@ def test_registration_honest_run():
     assert signatures.verify(
         lea.params.sign_pk,
         cred.sig,
-        actors._receipt_message(vn.identity, cred.commitment, cred.t_exp),
+        actors._receipt_message(vn.identity, curve.point_compress(cred.commitment), cred.t_exp),
     )
     assert chain.get(cred.txid) is not None
     assert len(cred.pid) == 16 and len(cred.d) == 20
@@ -349,6 +349,49 @@ def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
     assert len(calls) == before
 
 
+def _count_sqrt_calls(monkeypatch):
+    """A list that gets one entry per field square root: every point
+    decode reaches ``curve.sqrt_mod_p`` through ``solve_y``."""
+    calls = []
+    root = curve.sqrt_mod_p
+
+    def counted(n):
+        calls.append(n)
+        return root(n)
+
+    monkeypatch.setattr(curve, "sqrt_mod_p", counted)
+    return calls
+
+
+def test_one_square_root_per_registration_and_per_verified_request(monkeypatch):
+    # operation counts: the authority decodes only the sealed ephemeral
+    # point (adec needs its y) and checks the commitment without a root;
+    # the roadside unit decodes only the request's A
+    calls = _count_sqrt_calls(monkeypatch)
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x700)
+    vehicles = [vn] + [actors.Vehicle(f"VIN-{i}".encode(), random.Random(i), f"vn{i}") for i in (2, 3)]
+    for now, vehicle in enumerate(vehicles, start=1000):
+        request = vehicle.build_registration(lea.params)
+        before = len(calls)
+        txid, sig, t_exp = lea.handle_registration(request, now)
+        assert len(calls) == before + 1
+        reply = rsms[0].complete_registration(txid, sig, t_exp, now)
+        vehicle.finish_registration(reply, rsms[0].view, now)
+        assert len(calls) == before + 1
+    for now, vehicle in enumerate(vehicles, start=2000):
+        _, vn_ctx = vehicle.start_handover(rsus[0].sign_pk, now)
+        before = len(calls)
+        reply, rsu_ctx = rsus[0].handle_request(vn_ctx.req_bytes, now)
+        assert len(calls) == before + 1
+        ack, _ = vehicle.handle_reply(vn_ctx, reply.encode(), now)
+        rsus[0].handle_ack(rsu_ctx, ack.encode(), now)
+        assert len(calls) == before + 1
+    # revoking and rotating compare keys: no decode
+    before = len(calls)
+    _, updates = actors.rotate_group_key(lea, rsms, rsus, [vn.credential.commitment], now=3000)
+    assert len(updates) == 2 and len(calls) == before
+
+
 def test_single_byte_flips_never_authenticate():
     chain, lea, rsms, rsus, vn = make_domain(0xA8)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
@@ -609,7 +652,7 @@ def _reference_rotate_sessions(rsu, now):
     rsu.view.sync_to(now)
     updates = []
     for ch, ctx in list(rsu.sessions.items()):
-        if ctx.t_exp <= now or rsu.view.is_revoked(ch):
+        if ctx.t_exp <= now or rsu.view.is_revoked(ctx.ch_key):
             del rsu.sessions[ch]
             continue
         pid_new, d_new = rsu.rsm.mint_pseudonym()

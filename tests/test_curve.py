@@ -16,7 +16,8 @@ always run; native cases skip only when the library did not load.
 root it replaced lives here as its oracle, with Euler's criterion as the
 residuosity verdict. Its one big exponentiation runs on libcrypto's
 ``BN_mod_exp_mont`` when the library loaded; Python's ``pow`` is the
-reference that path is held to, and the fallback.
+reference that path is held to, and the fallback. ``check_compressed``
+(Euler's criterion, no root) is held to ``point_decompress``'s verdict.
 """
 
 import ctypes
@@ -474,6 +475,76 @@ def test_decompress_rejects_bad_input():
         assert curve.is_on_curve(pt)
     except ValueError:
         pass
+
+
+def _decodes_to_a_point(data):
+    """``point_decompress``'s verdict: True for a point other than O."""
+    try:
+        return curve.point_decompress(data) is not None
+    except ValueError:
+        return False
+
+
+def _accepted(check, data):
+    try:
+        return check(data) == data
+    except ValueError:
+        return False
+
+
+def _compressed_corpus():
+    """29-byte strings around every rule of the encoding: random points
+    of both parities under every prefix 0-5, off-curve x, x = P, x > P
+    (also with x - P on the curve), and 29 zero bytes."""
+    rng = random.Random(0xEC + 30)
+    on_x = [x for x in range(1, 100) if curve.solve_y(x) is not None][:4]
+    off_x = [x for x in range(1, 100) if curve.solve_y(x) is None][:4]
+    xs = on_x + off_x + [x + P for x in on_x] + [0, P, P + 1, 2**224 - 1]
+    for _ in range(150):
+        xs.append(curve.scalar_mul(GEN, rng.randrange(1, Q))[0])
+        xs.append(rng.randrange(P))
+    return [bytes(29)] + [bytes([prefix]) + x.to_bytes(28, "big") for x in xs for prefix in range(6)]
+
+
+def test_check_compressed_accepts_exactly_what_decodes_to_a_point():
+    corpus = _compressed_corpus()
+    accepted = [data for data in corpus if _accepted(curve.check_compressed, data)]
+    for data in corpus:
+        assert _accepted(curve.check_compressed, data) == _decodes_to_a_point(data), data.hex()
+    # both parities of real points, and refusals for every other rule
+    assert {data[0] for data in accepted} == {2, 3}
+    assert 100 < len(accepted) < len(corpus) - 100
+    for bad in (bytes(28), bytes(30), b"\x02" + bytes(29), b"", curve.point_compress(GEN)[:28]):
+        with pytest.raises(ValueError):
+            curve.check_compressed(bad)
+        with pytest.raises(ValueError):
+            curve.point_decompress(bad)
+
+
+def test_check_compressed_takes_no_square_root(monkeypatch):
+    corpus = _compressed_corpus()
+    calls = []
+    monkeypatch.setattr(curve, "sqrt_mod_p", lambda n: calls.append(n))
+    assert sum(_accepted(curve.check_compressed, data) for data in corpus) > 100
+    assert calls == []
+
+
+def test_check_compressed_agrees_without_libcrypto(monkeypatch):
+    isolated = _curve_without_libcrypto(monkeypatch)
+    assert isolated._pow_p is isolated._pow_p_py
+    for data in _compressed_corpus()[:300]:
+        assert _accepted(isolated.check_compressed, data) == _decodes_to_a_point(data), data.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(min_size=29, max_size=29),
+        st.builds(lambda p, rest: bytes([p]) + rest, st.integers(0, 5), st.binary(min_size=28, max_size=28)),
+    )
+)
+def test_check_compressed_agrees_with_point_decompress_on_random_bytes(data):
+    assert _accepted(curve.check_compressed, data) == _decodes_to_a_point(data)
 
 
 def test_sqrt_mod_p_agrees_with_squaring():

@@ -18,7 +18,7 @@ def test_output_kinds_and_lengths():
     assert 0 < hashes.h0(b"x", 1) < Q
     assert 0 < hashes.h2(b"pid", 3, pt, b"s1", b"d" * 20, GEN, 9) < Q
     assert len(hashes.h1(b"pd", 1, 2, b"pid")) == hashes.TAG_LEN
-    assert len(hashes.h3(pt, b"d" * 20, 5, 1)) == hashes.TAG_LEN
+    assert len(hashes.h3(curve.point_compress(pt), b"d" * 20, 5, 1)) == hashes.TAG_LEN
     assert len(hashes.h4(5, b"m" * 20, 1)) == hashes.TAG_LEN
     assert len(hashes.h5(b"s2", 5, b"p" * 16, b"d" * 20, b"m" * 20, b"k" * 20, 1)) == hashes.TAG_LEN
     assert len(hashes.h6(b"m" * 20, b"k" * 20, b"req", b"rep")) == hashes.TAG_LEN
@@ -74,13 +74,14 @@ def _ts_field(t):
     return (t & 0xFFFFFFFF).to_bytes(4, "big")
 
 
-# (function, tag, field kinds, output kind); "ts" is a timestamp int, and a
-# bytes kind is a constant label field that the function supplies itself
+# (function, tag, field kinds, output kind); "ts" is a timestamp int, a
+# "point key" is a point's 29-byte compressed form, and a bytes kind is a
+# constant label field that the function supplies itself
 FIXED_LAYOUT = [
     (hashes.h0, hashes.TAG_H0, ("bytes", "scalar"), "scalar"),
     (hashes.h1, hashes.TAG_H1, ("bytes", "scalar", "scalar", "bytes"), "tag"),
     (hashes.h2, hashes.TAG_H2, ("bytes", "scalar", "point", "bytes", "bytes", "point", "ts"), "scalar"),
-    (hashes.h3, hashes.TAG_H3, ("point", "bytes", "scalar", "ts"), "tag"),
+    (hashes.h3, hashes.TAG_H3, ("point key", "bytes", "scalar", "ts"), "tag"),
     (hashes.h4, hashes.TAG_H4, ("scalar", "bytes", "ts"), "tag"),
     (hashes.h5, hashes.TAG_H5, ("bytes", "scalar", "bytes", "bytes", "bytes", "bytes", "ts"), "tag"),
     (hashes.h6, hashes.TAG_H6, ("bytes", "bytes", "bytes", "bytes"), "tag"),
@@ -122,6 +123,7 @@ def test_fixed_layout_hashes_match_encode_preimage():
         "bytes": lambda: rng.randbytes(rng.choice((0, 1, 4, 16, 20, 28, 29, 64, rng.randrange(200)))),
         "scalar": lambda: rng.choice((0, 1, Q - 1, rng.randrange(Q), rng.randrange(Q, 2**224))),
         "ts": lambda: rng.choice((0, 2**32 - 1, 2**32, -1, rng.randrange(2**40))),
+        "point key": lambda: curve.point_compress(draw["point"]()),
     }
     for i in range(10_000):
         walk = curve.point_add(walk, step)
@@ -138,7 +140,8 @@ def test_fixed_layout_hashes_reject_out_of_range_scalars_like_the_oracle():
             for pos, kind in enumerate(_arg_kinds(kinds)):
                 if kind != "scalar":
                     continue
-                args = [{"bytes": b"x", "scalar": 5, "point": GEN, "ts": 7}[k] for k in _arg_kinds(kinds)]
+                plain = {"bytes": b"x", "scalar": 5, "point": GEN, "point key": curve.point_compress(GEN), "ts": 7}
+                args = [plain[k] for k in _arg_kinds(kinds)]
                 args[pos] = bad
                 with pytest.raises(OverflowError):
                     _oracle(tag, kinds, args, out)

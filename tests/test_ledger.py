@@ -117,14 +117,14 @@ def test_view_sync_delay_and_convergence():
 
     fast.sync_to(1010)
     slow.sync_to(1010)
-    assert fast.find_by_ch(payload.ch) is not None
-    assert slow.find_by_ch(payload.ch) is None  # not yet visible
+    assert fast.find_by_ch(payload.ch_key) is not None
+    assert slow.find_by_ch(payload.ch_key) is None  # not yet visible
 
     # after quiescence >= max delay, all views identical
     fast.sync_to(1200)
     slow.sync_to(1200)
     assert fast.applied_height == slow.applied_height == chain.height()
-    assert slow.find_by_ch(payload.ch).txid == fast.find_by_ch(payload.ch).txid
+    assert slow.find_by_ch(payload.ch_key).txid == fast.find_by_ch(payload.ch_key).txid
 
 
 def test_revocation_propagates_to_views():
@@ -138,8 +138,8 @@ def test_revocation_propagates_to_views():
     chain.append(lg.Revocation(ch=payload.ch), rev_token, now=10)
     for v in views:
         v.sync_to(10 + 200)
-        assert v.is_revoked(payload.ch)
-        assert not v.is_revoked(_pt(rng))
+        assert v.is_revoked(payload.ch_key)
+        assert not v.is_revoked(curve.point_compress(_pt(rng)))
 
 
 def test_append_only_prefix_property():
@@ -181,3 +181,106 @@ def test_snapshot_rejects_tampered_content():
     payload[1] ^= 1
     with pytest.raises(lg.LedgerError):
         lg.snapshot_load(f"{height} {txid_hex} {payload.hex()} {ts}\n")
+
+
+def test_point_and_key_built_payloads_are_the_same_entry():
+    rng = random.Random(0x8C)
+    pt = _pt(rng)
+    key = curve.point_compress(pt)
+    sig = rng.randbytes(56)
+    for by_point, by_key in (
+        (lg.Registration(sig, pt, 77), lg.Registration.from_key(sig, key, 77)),
+        (lg.Registration(sig=sig, ch=pt, t_exp=77), lg.Registration.from_key(sig=sig, ch_key=key, t_exp=77)),
+        (lg.Revocation(pt), lg.Revocation.from_key(key)),
+    ):
+        assert by_point == by_key and hash(by_point) == hash(by_key)
+        assert by_point.ch_key == by_key.ch_key == key
+        assert by_point.to_bytes() == by_key.to_bytes()
+        assert lg.compute_txid(by_point, 3) == lg.compute_txid(by_key, 3)
+        # the key-built entry decodes its point on the first read of ch
+        assert "ch" not in vars(by_key)
+        assert by_key.ch == by_point.ch == pt
+        assert vars(by_key)["ch"] == pt
+    # appended either way, the two give the same txid
+    txids = []
+    for payload in (lg.Registration(sig, pt, 77), lg.Registration.from_key(sig, key, 77)):
+        chain = lg.Ledger()
+        txids.append(chain.append(payload, chain.mint_token("registration"), now=0))
+    assert txids[0] == txids[1]
+
+
+def _count_sqrt_calls(monkeypatch):
+    calls = []
+    root = curve.sqrt_mod_p
+    monkeypatch.setattr(curve, "sqrt_mod_p", lambda n: calls.append(n) or root(n))
+    return calls
+
+
+def test_snapshot_load_takes_no_square_root(monkeypatch):
+    rng = random.Random(0x8D)
+    chain = lg.Ledger()
+    reg_token, rev_token = chain.mint_token("registration"), chain.mint_token("revocation")
+    for i in range(20):
+        payload = _reg(rng)
+        chain.append(payload, reg_token, now=i)
+        if i % 4 == 0:
+            chain.append(lg.Revocation(ch=payload.ch), rev_token, now=i)
+    text = lg.snapshot_dump(chain)
+    calls = _count_sqrt_calls(monkeypatch)
+    restored = lg.snapshot_load(text)
+    assert calls == []
+    assert [tx.txid for tx in restored.entries] == [tx.txid for tx in chain.entries]
+    assert restored.entries[0].payload.ch == chain.entries[0].payload.ch
+    assert len(calls) == 1  # the first read of ch decodes it
+
+
+def _corrupt_payloads(payload: bytes):
+    """Malformed variants of a dumped payload: each breaks one rule."""
+    kind = payload[0]
+    at = 57 if kind == 1 else 1  # where the commitment starts
+    key = payload[at : at + 29]
+    off_x = next(x for x in range(1, 100) if curve.solve_y(x) is None)
+    on_x = next(x for x in range(1, 100) if curve.solve_y(x) is not None)
+
+    def with_key(new_key):
+        return payload[:at] + new_key + payload[at + 29 :]
+
+    return [
+        payload[:-1],  # truncated
+        payload + b"\x00",  # trailing byte
+        b"",
+        bytes([3]) + payload[1:],  # unknown kind
+        bytes([2 if kind == 1 else 1]) + payload[1:],  # the other kind's layout
+        with_key(b"\x05" + key[1:]),  # commitment prefix
+        with_key(b"\x00" + key[1:]),
+        with_key(bytes(29)),  # the identity
+        with_key(b"\x02" + off_x.to_bytes(28, "big")),  # not on the curve
+        with_key(b"\x02" + curve.P.to_bytes(28, "big")),  # x = P
+        with_key(b"\x02" + (curve.P + on_x).to_bytes(28, "big")),  # x - P on the curve
+        payload[:-1] + bytes([payload[-1] ^ 1]),  # content: the txid no longer matches
+    ]
+
+
+def test_snapshot_load_refuses_every_corrupted_field_with_a_ledger_error():
+    rng = random.Random(0x8E)
+    chain = lg.Ledger()
+    reg = _reg(rng)
+    chain.append(reg, chain.mint_token("registration"), now=5)
+    chain.append(lg.Revocation(ch=reg.ch), chain.mint_token("revocation"), now=9)
+    lines = lg.snapshot_dump(chain).splitlines()
+    assert lg.snapshot_load("\n".join(lines)).height() == 2
+    for index, line in enumerate(lines):
+        height, txid_hex, payload_hex, ts = line.split()
+        corrupted = [
+            [height, txid_hex, payload_hex],  # a field missing
+            [height, txid_hex, payload_hex, ts, ts],  # a field too many
+            *[[bad, txid_hex, payload_hex, ts] for bad in ("x", "1.0", "0x0", str(index + 1), "-1")],
+            *[[height, bad, payload_hex, ts] for bad in ("zz" * 32, txid_hex[:-1], txid_hex[:-2], "00" * 32)],
+            *[[height, txid_hex, bad, ts] for bad in ("zz" + payload_hex[2:], payload_hex[:-1])],
+            *[[height, txid_hex, bad.hex(), ts] for bad in _corrupt_payloads(bytes.fromhex(payload_hex))],
+            *[[height, txid_hex, payload_hex, bad] for bad in ("x", "1.5", "9" * 5 + "e3")],
+        ]
+        for fields in corrupted:
+            text = "\n".join(lines[:index] + [" ".join(fields)] + lines[index + 1 :])
+            with pytest.raises(lg.LedgerError):
+                lg.snapshot_load(text)

@@ -41,7 +41,7 @@ FRESHNESS = actors.FRESHNESS_WINDOW_MS
 def oracle_live_registration(entries, ch_key: bytes, now: int):
     """The full scan: the first registration of ``ch_key`` live at ``now``."""
     for tx in entries:
-        if isinstance(tx.payload, lg.Registration) and curve.point_compress(tx.payload.ch) == ch_key:
+        if isinstance(tx.payload, lg.Registration) and tx.payload.ch_key == ch_key:
             if tx.payload.t_exp > now:
                 return tx
     return None
@@ -50,7 +50,7 @@ def oracle_live_registration(entries, ch_key: bytes, now: int):
 def oracle_revoked(entries, ch_key: bytes) -> bool:
     """The full scan: some revocation of ``ch_key`` is in the log."""
     return any(
-        isinstance(tx.payload, lg.Revocation) and curve.point_compress(tx.payload.ch) == ch_key for tx in entries
+        isinstance(tx.payload, lg.Revocation) and tx.payload.ch_key == ch_key for tx in entries
     )
 
 
