@@ -130,8 +130,6 @@ class GroupSecret:
 class SystemParams:
     """Published parameters: safe to hand to anyone."""
 
-    curve: curve.CurveParams
-    hash_family: tuple
     sign_pk: "tuple[int, int]"
     enc_pk: "tuple[int, int]"
 
@@ -256,12 +254,7 @@ class Authority:
         self._reg_token = chain.mint_token("registration")
         self.view = LedgerView(node_id, chain, sync_delay_ms=0)
         self._ids: dict[bytes, bytes] = {}  # txid -> registered identity
-        self.params = SystemParams(
-            curve=curve.P224,
-            hash_family=tuple(name for name, _, _ in hashes.HASH_FAMILY.values()),
-            sign_pk=self.sign_pk,
-            enc_pk=self.enc_pk,
-        )
+        self.params = SystemParams(sign_pk=self.sign_pk, enc_pk=self.enc_pk)
 
     def handle_registration(self, request: RegistrationRequest, now: int) -> "tuple[bytes, bytes, int]":
         identity, ch_key = _open_registration(signatures.adec(self._enc_sk, request.c1))
@@ -272,7 +265,7 @@ class Authority:
         self._ids[txid] = identity
         return txid, sig, t_exp
 
-    def rotate(self, now: int) -> GroupSecret:
+    def rotate(self) -> GroupSecret:
         self.group_secret = GroupSecret(
             gk=curve.rand_nonzero_scalar(self.rng),
             b=curve.rand_nonzero_scalar(self.rng),
@@ -456,7 +449,7 @@ class RoadsideUnit:
         self.sessions[ctx.ch] = ctx
         return ctx
 
-    def report_malicious(self, req_bytes: bytes, now: int) -> MisbehaviorReport:
+    def report_malicious(self, req_bytes: bytes) -> MisbehaviorReport:
         sig_rt = signatures.sign(self._sign_sk, req_bytes, self.rng)
         return MisbehaviorReport(rsu_id=self.node_id, sig_rt=sig_rt, req_bytes=req_bytes)
 
@@ -581,8 +574,7 @@ class Vehicle:
         t1 = now
         s1 = symmetric.sym_encrypt(cred.d, curve.scalar_to_bytes(beta), _s1_context(t1))
         gamma = hashes.h2(cred.pid, beta, a_pt, s1, cred.d, rsu_pk, t1)
-        r = alpha * gamma % Q
-        m = (cred.trapdoor.k - r * cred.trapdoor.x) % Q
+        m = chameleon.ch_collide(cred.trapdoor, alpha * gamma % Q)
         request = AuthRequest(pid=cred.pid, m=m, a_point=a_pt, s1=s1, t1=t1)
         ctx = SessionContext(t1=t1, beta_own=beta, req_bytes=request.encode())
         return request, ctx
@@ -647,7 +639,7 @@ def rotate_group_key(lea: Authority, rsms, rsus, revoked_chs, now: int):
     """
     for ch in revoked_chs:
         rsms[0].revoke(ch, now)
-    gs = lea.rotate(now)
+    gs = lea.rotate()
     for rsm in rsms:
         rsm.receive_group_secret(gs)
     updates = []

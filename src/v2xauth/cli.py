@@ -179,7 +179,7 @@ def cmd_audit(args) -> int:
     actors.register_vehicle(bystander, rsm, lea, now=0)
     _, ctx = suspect.start_handover(rsu.sign_pk, now=1000)
     rsu.handle_request(ctx.req_bytes, now=1000)
-    report = rsu.report_malicious(ctx.req_bytes, now=1100)
+    report = rsu.report_malicious(ctx.req_bytes)
     result = lea.trace(report, rsu.sign_pk, now=1200)
 
     honest = actors.audit_frame_claim(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import GEN, Q, msm2, rand_nonzero_scalar, scalar_mul
+from .curve import Q, msm2
 
 
 @dataclass(frozen=True)
@@ -27,35 +27,9 @@ class ChameleonTrapdoor:
     x: int
 
 
-@dataclass(frozen=True)
-class ChameleonHashKey:
-    """Public side: base point Y = x*P and the commitment CH."""
-
-    y_point: "tuple[int, int]"
-    commitment: "tuple[int, int]"
-
-
 def ch_commit(y_point, m: int, r: int):
     """CH_Y(m, r) = m*P + r*Y."""
     return msm2(m, r, y_point)
-
-
-def ch_keygen(rng, m0: int | None = None, r0: int | None = None):
-    """Fresh trapdoor/commitment pair.
-
-    m0 and r0 default to fresh random elements of Z_q*; callers that
-    derive the initial randomizer from an identity hash pass it in.
-    Returns (trapdoor, hash key, m0, r0).
-    """
-    x = rand_nonzero_scalar(rng)
-    if m0 is None:
-        m0 = rand_nonzero_scalar(rng)
-    if r0 is None:
-        r0 = rand_nonzero_scalar(rng)
-    y_point = scalar_mul(GEN, x)
-    k = (m0 + r0 * x) % Q
-    commitment = ch_commit(y_point, m0, r0)
-    return ChameleonTrapdoor(k=k, x=x), ChameleonHashKey(y_point=y_point, commitment=commitment), m0, r0
 
 
 def ch_collide(td: ChameleonTrapdoor, r_new: int) -> int:

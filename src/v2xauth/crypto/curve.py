@@ -8,23 +8,30 @@ one curve coordinate or one scalar, which is why this particular curve
 is load-bearing: the message-size budget assumes l_q = 224 bits.
 
 Points are affine ``(x, y)`` tuples with ``None`` as the identity O.
-Internally the pure-Python paths run in Jacobian coordinates so that a
-full scalar multiplication needs a single field inversion.
+Internally the ladder runs in Jacobian coordinates so that a full
+scalar multiplication needs a single field inversion.
 
-Scalar multiplication has one native seam and two pure-Python paths:
+Scalar multiplication has one native seam and one pure-Python
+algorithm:
 
 * ``_msm2_libcrypto`` marshals ``m*G + gamma*A`` into one libcrypto
   ``EC_POINT_mul`` on the calling thread's scratch. Both public
   routines go through it when the library loaded: ``msm2(m, gamma, A)``
   with two terms, and ``scalar_mul(pt, s)`` with one, in the fixed-base
   form (no point argument) when ``pt`` is ``GEN`` and the variable-base
-  form otherwise. A point libcrypto refuses (not on the curve) goes to
-  ``_msm2_py``, which defines the result for such input.
+  form otherwise.
 * ``ladder_mul`` is a fixed-iteration Montgomery ladder: the reference
   ``scalar_mul`` is tested against, and its fallback when the library
-  does not load.
-* ``_msm2_py`` is a variable-time window-NAF loop sharing one doubling
-  chain between the terms: the reference and fallback of ``msm2``.
+  does not load. The fallback ``msm2`` (``_msm2_ladder``) is two ladders
+  and one ``point_add``. The tests hold ``_msm2_libcrypto`` to a
+  window-NAF reference of their own (``tests/curve_oracle.py``).
+
+An off-curve point is refused the same way on both backends: a point
+that ``is_on_curve`` refuses raises ValueError wherever a nonzero
+scalar (mod q) multiplies it, and gives the identity where the scalar
+is 0 mod q. No production caller passes one: wire decoding and
+``signatures.adec`` take their points from ``solve_y``, and
+``signatures.verify`` returns False for an off-curve public key.
 
 Which secret scalars take which path, with libcrypto loaded:
 
@@ -32,12 +39,11 @@ Which secret scalars take which path, with libcrypto loaded:
   decryption keys of the authority, region managers and roadside units
   at key generation (sk*G, fixed-base), every ECDSA nonce (k*G,
   fixed-base, in ``signatures.sign``), and the decryption key in
-  ``signatures.adec`` (sk*E, variable-base); also x*G in
-  ``chameleon.ch_keygen``, which only the tests call;
+  ``signatures.adec`` (sk*E, variable-base);
 * ``msm2`` (native, two terms): the vehicle's initial chameleon input m0
-  and r0, in ``chameleon.ch_commit`` at registration; every other
-  ``msm2`` input (the handover's m and gamma, ECDSA verification) is
-  public;
+  and r0, in ``chameleon.ch_commit`` at registration (on two ladders
+  without the library); every other ``msm2`` input (the handover's m
+  and gamma, ECDSA verification) is public;
 * ``ladder_mul``, called by name: the vehicle's trapdoor x (x*G, in
   ``Vehicle.build_registration``), its blinding values alpha (alpha*Y,
   in ``Vehicle._draw_blinded_point``) and the ephemeral key of
@@ -50,9 +56,8 @@ with masks instead of branches, for the generator and for a variable
 point alike. That constant-time behaviour is OpenSSL's design claim; it
 is not measured here, and a library built without the nistp224 method
 runs a different one. Python big integers are not constant-time, so
-neither pure-Python path is: the ladder's fixed step sequence is
-hygiene, not a guarantee, and the fallbacks give no side-channel
-protection.
+the ladder is not either: its fixed step sequence is hygiene, not a
+guarantee, and the fallback gives no side-channel protection.
 
 At import the module opens the system OpenSSL 3 ``libcrypto.so.3``
 through ``ctypes`` once, types every function the package calls from
@@ -62,14 +67,15 @@ the same handle. When the library provides secp224r1, reproduces the
 generator and gives the known inverse of 2 through ``BN_mod_exp_mont``,
 ``msm2`` and ``scalar_mul`` are bound to ``EC_POINT_mul`` and the
 square root's exponentiation to ``BN_mod_exp_mont``. Otherwise they are
-``_msm2_py``, ``ladder_mul`` and Python's ``pow``, which also stay the
-references the tests hold the native paths to. ``BACKEND`` names the
-path in use (``"libcrypto"`` or ``"pure-python"``). Both paths return
-identical results, including ``None`` for the identity. Measured as
+``_msm2_ladder``, ``ladder_mul`` and Python's ``pow``; the ladder and
+``pow`` also stay references the tests hold the native paths to.
+``BACKEND`` names the path in use (``"libcrypto"`` or
+``"pure-python"``). Both paths return identical results, including
+``None`` for the identity, and refuse the same points. Measured as
 thread CPU time on a shared 2-core x86-64 host (Python 3.11): ``msm2``
-takes 0.12-0.2 ms native and about 3 ms in Python; ``scalar_mul`` about
-0.06 ms fixed-base and 0.13 ms variable-base native, against 3.7 ms on
-the ladder.
+takes 0.12-0.2 ms native and about 10 ms on two ladders; ``scalar_mul``
+about 0.06 ms fixed-base and 0.13 ms variable-base native, against
+3.7 ms on the ladder.
 
 The native calls work in a per-thread ``_Scratch``: a BN_CTX, the
 bignums, the two points ``msm2`` needs, an output buffer and a
@@ -99,7 +105,6 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from dataclasses import dataclass
 
 Point = "tuple[int, int] | None"  # affine point, None is the identity O
 
@@ -115,26 +120,6 @@ GEN = (GX, GY)
 
 SCALAR_BYTES = 28
 COORD_BYTES = 28
-SECURITY_BITS = 160  # hash/tag output width used throughout the protocol
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    """Public description of the group, as published in the system parameters."""
-
-    p: int
-    a: int
-    b: int
-    generator: "tuple[int, int]"
-    q: int
-    security_bits: int
-
-    @property
-    def name(self) -> str:
-        return "secp224r1"
-
-
-P224 = CurveParams(p=P, a=A, b=B, generator=GEN, q=Q, security_bits=SECURITY_BITS)
 
 
 def is_on_curve(pt) -> bool:
@@ -222,29 +207,6 @@ def _jac_add(X1, Y1, Z1, X2, Y2, Z2):
     return (X3, Y3, Z3)
 
 
-def _jac_add_affine(X1, Y1, Z1, x2, y2):
-    # mixed addition, second operand affine (Z2 = 1)
-    if not Z1:
-        return (x2, y2, 1)
-    Z1Z1 = Z1 * Z1 % P
-    U2 = x2 * Z1Z1 % P
-    S2 = y2 * Z1 % P * Z1Z1 % P
-    H = (U2 - X1) % P
-    if not H:
-        if S2 == Y1:
-            return _jac_double(X1, Y1, Z1)
-        return _JAC_O
-    HH = H * H % P
-    I = 4 * HH % P
-    J = H * I % P
-    r = 2 * (S2 - Y1) % P
-    V = X1 * I % P
-    X3 = (r * r - J - 2 * V) % P
-    Y3 = (r * (V - X3) - 2 * Y1 * J) % P
-    Z3 = ((Z1 + H) * (Z1 + H) - Z1Z1 - HH) % P
-    return (X3, Y3, Z3)
-
-
 def _jac_to_affine(X, Y, Z):
     if not Z:
         return None
@@ -253,38 +215,26 @@ def _jac_to_affine(X, Y, Z):
     return (X * zi2 % P, Y * zi2 % P * zi % P)
 
 
-def _batch_to_affine(triples):
-    """Convert many Jacobian points with one shared inversion (Montgomery trick)."""
-    zs = [t[2] for t in triples]
-    n = len(zs)
-    prefix = [1] * (n + 1)
-    for i, z in enumerate(zs):
-        prefix[i + 1] = prefix[i] * z % P
-    inv_all = pow(prefix[n], -1, P)
-    out = [None] * n
-    for i in range(n - 1, -1, -1):
-        zi = prefix[i] * inv_all % P
-        inv_all = inv_all * zs[i] % P
-        zi2 = zi * zi % P
-        X, Y, _ = triples[i]
-        out[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
-    return out
-
-
 # --- Scalar multiplication ---------------------------------------------------
 
 
 def ladder_mul(pt, s: int):
     """Multiply ``pt`` by ``s`` with a fixed-length Montgomery ladder.
 
-    Always runs 225 ladder steps regardless of ``s`` (the exponent is
+    For s != 0 mod q it always runs 225 ladder steps (the exponent is
     lifted to s + q so its top bit is fixed), giving a uniform operation
-    sequence for secret scalars. Accepts s = 0 and the identity. The
-    reference and fallback of ``scalar_mul``, about 4 ms a call.
+    sequence for secret scalars. The identity, and s = 0 mod q with any
+    point, give the identity; any other point that ``is_on_curve``
+    refuses raises ValueError, as in ``_msm2_libcrypto``. The reference
+    and fallback of ``scalar_mul``, about 4 ms a call.
     """
     if pt is None:
         return None
     s %= Q
+    if not s:
+        return None
+    if not is_on_curve(pt):
+        raise ValueError("point not on the curve")
     k = s + Q  # in [q, 2q): bit 224 is always set, no leading-zero branch
     r0 = _JAC_O
     r1 = (pt[0], pt[1], 1)
@@ -298,68 +248,13 @@ def ladder_mul(pt, s: int):
     return _jac_to_affine(*r0)
 
 
-def _wnaf(k: int, w: int):
-    digits = []
-    while k:
-        if k & 1:
-            d = k & ((1 << w) - 1)
-            if d >= 1 << (w - 1):
-                d -= 1 << w
-            digits.append(d)
-            k -= d
-        else:
-            digits.append(0)
-        k >>= 1
-    return digits
-
-
-def _odd_multiples(pt, w: int):
-    """Affine table [1*pt, 3*pt, ..., (2^(w-1)-1)*pt]."""
-    count = 1 << (w - 2)
-    jac = [(pt[0], pt[1], 1)]
-    twice = _jac_double(pt[0], pt[1], 1)
-    for _ in range(count - 1):
-        jac.append(_jac_add(*jac[-1], *twice))
-    return _batch_to_affine(jac)
-
-
-_WINDOW = 5
-_GEN_TABLE = _odd_multiples(GEN, _WINDOW)
-
-
-def _msm2_py(m: int, gamma: int, a_pt):
-    """Return ``m*GEN + gamma*a_pt`` (variable-time, shared doubling chain).
-
-    Both scalars and the point are public by the time it runs. This is
-    the reference the native backend is tested against and the fallback
-    when libcrypto does not load (about 3 ms a call, see the module
-    docstring).
-    """
-    m %= Q
-    gamma %= Q
-    if a_pt is None or gamma == 0:
-        if m == 0:
-            return None
-        gamma = 0
-
-    nm = _wnaf(m, _WINDOW) if m else []
-    ng = _wnaf(gamma, _WINDOW) if gamma else []
-    a_table = _odd_multiples(a_pt, _WINDOW) if gamma else ()
-    if len(nm) < len(ng):
-        nm += [0] * (len(ng) - len(nm))
-    else:
-        ng += [0] * (len(nm) - len(ng))
-
-    acc = _JAC_O
-    for i in range(len(nm) - 1, -1, -1):
-        acc = _jac_double(*acc)
-        for d, table in ((nm[i], _GEN_TABLE), (ng[i], a_table)):
-            if d > 0:
-                acc = _jac_add_affine(*acc, *table[d >> 1])
-            elif d < 0:
-                px, py = table[-d >> 1]
-                acc = _jac_add_affine(*acc, px, P - py)
-    return _jac_to_affine(*acc)
+def _msm2_ladder(m: int, gamma: int, a_pt):
+    """Return ``m*GEN + gamma*a_pt`` as two ladders and one affine
+    addition: the fallback of ``msm2``, about 10 ms a call. It returns
+    and refuses what ``_msm2_libcrypto`` does: the ladder on ``a_pt``
+    runs first, so an off-curve point raises before the other one."""
+    gamma_a = ladder_mul(a_pt, gamma)
+    return point_add(ladder_mul(GEN, m), gamma_a)
 
 
 # --- libcrypto: the one native handle, used by the curve and the pseudonym cipher ---
@@ -486,9 +381,11 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
 
     The EC_GROUP is created once and only read afterwards; the bignums,
     points and BN_CTX come from this thread's ``_Scratch``, so no native
-    object is used by two threads. A point libcrypto refuses (not on the
-    curve) goes to the reference path, which defines the result for such
-    input.
+    object is used by two threads. When the gamma term is used, a point
+    that ``is_on_curve`` refuses raises ValueError: one with a coordinate
+    outside [0, P) before libcrypto sees it (the library would reduce an
+    x or y in [P, 2^224)), any other when libcrypto refuses it, after
+    its error queue is cleared. The scratch stays usable.
     """
     m %= Q
     gamma %= Q
@@ -506,11 +403,14 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
     else:
         bn_m = None
     if gamma:
-        lib.BN_bin2bn(a_pt[0].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_x)
-        lib.BN_bin2bn(a_pt[1].to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_y)
+        x, y = a_pt
+        if not (0 <= x < P and 0 <= y < P):
+            raise ValueError("point not on the curve")
+        lib.BN_bin2bn(x.to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_x)
+        lib.BN_bin2bn(y.to_bytes(COORD_BYTES, "big"), COORD_BYTES, bn_y)
         if not lib.EC_POINT_set_affine_coordinates(group, a, bn_x, bn_y, ctx):
             lib.ERR_clear_error()
-            return _msm2_py(m, gamma, a_pt)
+            raise ValueError("point not on the curve")
         lib.BN_bin2bn(gamma.to_bytes(SCALAR_BYTES, "big"), SCALAR_BYTES, bn_g)
     else:
         a = bn_g = None
@@ -529,7 +429,8 @@ def _msm2_libcrypto(m: int, gamma: int, a_pt):
 def _scalar_mul_libcrypto(pt, s: int):
     """Return ``s*pt`` through ``_msm2_libcrypto``: the fixed-base form
     (no point argument) for ``GEN``, the variable-base form for any other
-    point. Accepts s = 0, s >= Q and the identity."""
+    point. Accepts s = 0, s >= Q and the identity, and refuses an
+    off-curve point as ``ladder_mul`` does."""
     return _msm2_libcrypto(s, 0, None) if pt == GEN else _msm2_libcrypto(0, s, pt)
 
 
@@ -568,7 +469,7 @@ if _LIBCRYPTO is not None:
     finally:
         _release_scratch()
 if _LIBCRYPTO is None:
-    msm2 = _msm2_py
+    msm2 = _msm2_ladder
     scalar_mul = ladder_mul
     _pow_p = _pow_p_py
     BACKEND = "pure-python"

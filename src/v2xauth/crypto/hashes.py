@@ -44,17 +44,6 @@ TAG_KEYSTREAM = 8
 TAG_HYBRID_KDF = 9
 TAG_SIG_DIGEST = 10
 
-# tag -> (name, arity, output kind) for the published family
-HASH_FAMILY = {
-    TAG_H0: ("h0", 2, "scalar"),
-    TAG_H1: ("h1", 4, "tag"),
-    TAG_H2: ("h2", 7, "scalar"),
-    TAG_H3: ("h3", 4, "tag"),
-    TAG_H4: ("h4", 3, "tag"),
-    TAG_H5: ("h5", 7, "tag"),
-    TAG_H6: ("h6", 4, "tag"),
-}
-
 
 def xof_bytes(pre: bytes, n: int) -> bytes:
     """``n`` bytes of SHAKE-256 over a finished preimage."""

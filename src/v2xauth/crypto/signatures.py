@@ -68,7 +68,10 @@ def verify(pk, sig: bytes, msg: bytes) -> bool:
         return False
     z = sig_digest(msg)
     w = pow(s, -1, Q)
-    pt = msm2(z * w % Q, r * w % Q, pk)
+    try:
+        pt = msm2(z * w % Q, r * w % Q, pk)
+    except ValueError:  # pk is not on the curve
+        return False
     return pt is not None and pt[0] % Q == r
 
 

@@ -338,7 +338,7 @@ class RsuHost(Host):
         if not self.last_request_bytes:
             self.emit(now, "report", "NothingSeen")
             return
-        report = self.rsu.report_malicious(self.last_request_bytes, now)
+        report = self.rsu.report_malicious(self.last_request_bytes)
         self.emit(now, "report", "ok")
         payload = (
             len(report.rsu_id).to_bytes(2, "big")
@@ -414,7 +414,7 @@ class LeaHost(Host):
                 rsm_host = next(iter(self.engine.rsms.values()))
                 txid = rsm_host.rsm.revoke(vn.credential.commitment, now)
                 rsm_host.emit(now, "revoke", "ok", txid=txid.hex()[:16])
-        gs = self.lea.rotate(now)
+        gs = self.lea.rotate()
         self.emit(now, "rotate", "ok", epoch=gs.epoch)
         payload = (
             gs.gk.to_bytes(28, "big") + gs.b.to_bytes(28, "big") + gs.epoch.to_bytes(4, "big")

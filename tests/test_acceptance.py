@@ -11,6 +11,7 @@ Its report line names the ``msm2`` backend that ran (``curve.BACKEND``:
 
 import random
 
+from chameleon_fixture import ch_keygen
 from curve_oracle import oracle_generator_multiples
 
 from v2xauth import actors, wire
@@ -79,7 +80,7 @@ def test_criterion_3_chameleon_algebra():
     eq1_ok = 0
     per_key = 100
     for _ in range(100):
-        td, hk, m0, r0 = chameleon.ch_keygen(rng)
+        td, hk, m0, r0 = ch_keygen(rng)
         for _ in range(per_key):
             r_new = curve.rand_nonzero_scalar(rng)
             m_new = chameleon.ch_collide(td, r_new)
@@ -260,7 +261,7 @@ def test_criterion_7_trace_audit_round_trip():
     actors.register_vehicle(other, rsm, lea, now=0)
     request, _ = vn.start_handover(rsu.sign_pk, now=1000)
     rsu.handle_request(request.encode(), now=1000)
-    report = rsu.report_malicious(request.encode(), now=1100)
+    report = rsu.report_malicious(request.encode())
     result = lea.trace(report, rsu.sign_pk, now=1200)
 
     honest_verdict = actors.audit_frame_claim(

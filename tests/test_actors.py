@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from chameleon_fixture import ch_keygen
 
 from v2xauth import actors, wire
 from v2xauth.crypto import chameleon, curve, signatures, symmetric
@@ -35,8 +36,8 @@ def test_init_determinism_and_secrecy():
     lea3 = actors.Authority(random.Random(43), Ledger())
     assert lea3.group_secret != lea1.group_secret
     # published parameters carry no secret fields
-    public = (lea1.params.curve, lea1.params.hash_family, lea1.params.sign_pk, lea1.params.enc_pk)
-    assert all(x is not None for x in public)
+    assert lea1.params == actors.SystemParams(sign_pk=lea1.sign_pk, enc_pk=lea1.enc_pk)
+    assert all(pk is not None and curve.is_on_curve(pk) for pk in (lea1.params.sign_pk, lea1.params.enc_pk))
     for banned in ("gk", "b", "sk", "secret"):
         assert banned not in {f for f in lea1.params.__dataclass_fields__}
 
@@ -345,7 +346,7 @@ def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
 
     before = len(calls)
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
-    rsus[0].report_malicious(request.encode(), now=2000)
+    rsus[0].report_malicious(request.encode())
     assert len(calls) == before
 
 
@@ -470,7 +471,7 @@ def test_unregistered_credential_rejected():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     # forge: right group secret shape, no ledger entry (fresh trapdoor)
     rng = random.Random(123)
-    td, hk, _, _ = chameleon.ch_keygen(rng)
+    td, hk, _, _ = ch_keygen(rng)
     forged_vn = actors.Vehicle(b"VIN-FORGED000000", rng, "vnF")
     forged_vn.credential = actors.ChameleonCredential(
         trapdoor=td,
@@ -689,7 +690,7 @@ def test_batched_rotation_matches_the_per_session_loop():
         lea, rsm, rsu, fleet = reference
         for i in revoked:
             rsm.revoke(fleet[i].credential.commitment, now)
-        rsm.receive_group_secret(lea.rotate(now))
+        rsm.receive_group_secret(lea.rotate())
         expected = _reference_rotate_sessions(rsu, now)
 
         assert len(updates) == len(expected) == live
@@ -729,7 +730,7 @@ def test_trace_recovers_identity_and_audit_agrees():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     request, ctx = vn.start_handover(rsus[0].sign_pk, now=2000)
     rsus[0].handle_request(request.encode(), now=2000)
-    report = rsus[0].report_malicious(request.encode(), now=2050)
+    report = rsus[0].report_malicious(request.encode())
 
     result = lea.trace(report, rsus[0].sign_pk, now=2100)
     assert result.identity == vn.identity
@@ -753,7 +754,7 @@ def test_trace_rejects_bad_evidence_and_unknown_ch():
     chain, lea, rsms, rsus, vn = make_domain(0xB2)
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
-    report = rsus[0].report_malicious(request.encode(), now=2000)
+    report = rsus[0].report_malicious(request.encode())
 
     with pytest.raises(actors.BadEvidence):
         lea.trace(report, lea.params.sign_pk, now=2100)  # wrong reporter key
@@ -768,7 +769,7 @@ def test_trace_rejects_bad_evidence_and_unknown_ch():
     junk = actors.AuthRequest(
         pid=rng.randbytes(16), m=rng.randrange(curve.Q), a_point=pt, s1=rng.randbytes(28), t1=2000
     ).encode()
-    junk_report = rsus[0].report_malicious(junk, now=2000)
+    junk_report = rsus[0].report_malicious(junk)
     with pytest.raises(actors.UnknownCH):
         lea.trace(junk_report, rsus[0].sign_pk, now=2100)
 
@@ -780,7 +781,7 @@ def test_audit_detects_framing_substitution():
     actors.register_vehicle(honest, rsms[0], lea, now=0)
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
     rsus[0].handle_request(request.encode(), now=2000)
-    report = rsus[0].report_malicious(request.encode(), now=2050)
+    report = rsus[0].report_malicious(request.encode())
     result = lea.trace(report, rsus[0].sign_pk, now=2100)
 
     # the authority claims the honest vehicle's identity instead
@@ -807,6 +808,30 @@ def test_audit_detects_framing_substitution():
             chain=chain,
             lea_sign_pk=lea.params.sign_pk,
         )
+
+
+def test_trace_and_audit_refuse_an_off_curve_reporter_key():
+    # the key fails the signature check; no ValueError leaks from the group arithmetic
+    chain, lea, rsms, rsus, vn = make_domain(0xB6)
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
+    report = rsus[0].report_malicious(request.encode())
+    result = lea.trace(report, rsus[0].sign_pk, now=2100)
+    rsu_pk = rsus[0].sign_pk
+    for off in ((rsu_pk[0], (rsu_pk[1] + 1) % curve.P), (rsu_pk[0] + curve.P, rsu_pk[1])):
+        with pytest.raises(actors.BadEvidence, match="reporter signature does not verify"):
+            lea.trace(report, off, now=2100)
+        with pytest.raises(actors.InvalidEvidence, match="reporter signature does not verify"):
+            actors.audit_frame_claim(
+                req_bytes=report.req_bytes,
+                sig_rt=report.sig_rt,
+                rsu_pk=off,
+                claimed_identity=result.identity,
+                disclosed_d=result.d_star,
+                txid=vn.credential.txid,
+                chain=chain,
+                lea_sign_pk=lea.params.sign_pk,
+            )
 
 
 def test_identity_never_on_open_wire_after_registration():

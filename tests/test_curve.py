@@ -7,10 +7,15 @@ paths it validates.
 Both multiplication routines have a native and a pure-Python
 implementation. ``scalar_mul`` is ``curve._scalar_mul_libcrypto`` when
 libcrypto.so.3 loads and the ladder ``curve.ladder_mul`` otherwise;
-``msm2`` is ``curve._msm2_libcrypto`` or the window-NAF loop
-``curve._msm2_py``. The oracle checks run on each, and differential
-tests hold each native path to the pure-Python ones. Reference cases
-always run; native cases skip only when the library did not load.
+``msm2`` is ``curve._msm2_libcrypto`` or ``curve._msm2_ladder``, two
+ladders and one addition. The oracle checks run on each. Differential
+tests hold the native paths to the ladder and to the window-NAF
+reference ``curve_oracle.msm2_wnaf``, which is three times faster than
+two ladders and is itself held to the naive oracle. Both backends
+refuse an off-curve point with ValueError in the same cases; a fresh
+copy of the module imported while ``ctypes.CDLL`` fails is the
+fallback they are compared with. Reference cases always run; native
+cases skip only when the library did not load.
 
 ``sqrt_mod_p`` is a table-driven discrete log; the Tonelli-Shanks square
 root it replaced lives here as its oracle, with Euler's criterion as the
@@ -27,7 +32,7 @@ import sys
 import threading
 
 import pytest
-from curve_oracle import oracle_add, oracle_generator_multiples, oracle_mul
+from curve_oracle import msm2_wnaf, oracle_add, oracle_generator_multiples, oracle_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,9 +126,9 @@ def test_scalar_mul_libcrypto_matches_wnaf_on_random_instances():
     rng = random.Random(0xEC + 18)
     for pt in _walk(rng, 1_000):
         s = rng.randrange(Q)
-        assert curve._scalar_mul_libcrypto(pt, s) == curve._msm2_py(0, s, pt), (pt, s)
+        assert curve._scalar_mul_libcrypto(pt, s) == msm2_wnaf(0, s, pt), (pt, s)
         s = rng.randrange(Q)
-        assert curve._scalar_mul_libcrypto(GEN, s) == curve._msm2_py(s, 0, None), s
+        assert curve._scalar_mul_libcrypto(GEN, s) == msm2_wnaf(s, 0, None), s
 
 
 @needs_libcrypto
@@ -164,7 +169,7 @@ def test_generator_through_fixed_and_variable_base_forms(monkeypatch):
         s = curve.rand_nonzero_scalar(rng)
         fixed = curve._msm2_libcrypto(s, 0, None)
         variable = curve._msm2_libcrypto(0, s, GEN)
-        assert fixed == variable == curve._msm2_py(s, 0, None), s
+        assert fixed == variable == msm2_wnaf(s, 0, None), s
     # scalar_mul picks the fixed-base form for GEN, also when it is passed
     # as an equal tuple rather than the module's object, and the
     # variable-base form for any other point
@@ -182,36 +187,13 @@ def test_generator_through_fixed_and_variable_base_forms(monkeypatch):
     assert calls == [(12345, 0, None), (0, 12345, neg)]
 
 
-def _libcrypto_error_pending():
-    """True when this thread's libcrypto error queue is not empty."""
-    lib = ctypes.CDLL("libcrypto.so.3")  # the loaded library; its queue is per thread
-    lib.ERR_peek_error.restype = ctypes.c_ulong
-    lib.ERR_peek_error.argtypes = []
-    return lib.ERR_peek_error() != 0
-
-
-@needs_libcrypto
-def test_scalar_mul_libcrypto_falls_back_on_an_off_curve_point():
-    rng = random.Random(0xEC + 22)
-    off = (GEN[0], (GEN[1] + 1) % P)
-    assert not curve.is_on_curve(off)
-    scratch = curve._scratch()
-    for _ in range(3):
-        s = rng.randrange(1, Q)
-        # refused by libcrypto, answered by the window-NAF reference
-        assert curve._scalar_mul_libcrypto(off, s) == curve._msm2_py(0, s, off)
-        assert not _libcrypto_error_pending()
-        assert curve._scalar_mul_libcrypto(GEN, s) == curve.ladder_mul(GEN, s)
-    assert curve._scratch() is scratch
-
-
 @needs_libcrypto
 def test_scalar_mul_libcrypto_concurrent_calls_match_reference():
     rng = random.Random(0xEC + 23)
     cases = [(pt, rng.randrange(Q)) for pt in _walk(rng, 30)]
     cases += [(GEN, rng.randrange(Q)) for _ in range(20)]
     cases += _scalar_edge_cases()
-    expected = [curve._msm2_py(0, s, pt) for pt, s in cases]
+    expected = [msm2_wnaf(0, s, pt) for pt, s in cases]
     results = {}
 
     def worker(tid):
@@ -271,11 +253,14 @@ def _check_msm2_degenerate_terms(msm2):
 
 
 def test_msm2_composes_single_scalar_oracle():
-    _check_msm2_composes_single_scalar_oracle(curve._msm2_py)
+    # the fallback, and the reference the native path is held to
+    for msm2 in (curve._msm2_ladder, msm2_wnaf):
+        _check_msm2_composes_single_scalar_oracle(msm2)
 
 
 def test_msm2_degenerate_terms():
-    _check_msm2_degenerate_terms(curve._msm2_py)
+    for msm2 in (curve._msm2_ladder, msm2_wnaf):
+        _check_msm2_degenerate_terms(msm2)
 
 
 @needs_libcrypto
@@ -318,7 +303,7 @@ def _degenerate_msm2_cases():
 @needs_libcrypto
 def test_msm2_libcrypto_matches_reference_on_degenerate_inputs():
     for m, g, a_pt in _degenerate_msm2_cases():
-        assert curve._msm2_libcrypto(m, g, a_pt) == curve._msm2_py(m, g, a_pt), (m, g, a_pt)
+        assert curve._msm2_libcrypto(m, g, a_pt) == msm2_wnaf(m, g, a_pt), (m, g, a_pt)
 
 
 @needs_libcrypto
@@ -327,7 +312,7 @@ def test_msm2_libcrypto_matches_reference_on_random_instances():
     for a_pt in _walk(rng, 10_000):
         m = rng.randrange(Q)
         g = rng.randrange(Q)
-        assert curve._msm2_libcrypto(m, g, a_pt) == curve._msm2_py(m, g, a_pt), (m, g, a_pt)
+        assert curve._msm2_libcrypto(m, g, a_pt) == msm2_wnaf(m, g, a_pt), (m, g, a_pt)
 
 
 @needs_libcrypto
@@ -336,7 +321,7 @@ def test_msm2_libcrypto_concurrent_calls_match_reference():
     a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
     cases = [(rng.randrange(Q), rng.randrange(Q), a_pt) for _ in range(50)]
     cases += _degenerate_msm2_cases()
-    expected = [curve._msm2_py(*case) for case in cases]
+    expected = [msm2_wnaf(*case) for case in cases]
     results = {}
 
     def worker(tid):
@@ -375,7 +360,7 @@ def test_msm2_libcrypto_reused_scratch_carries_nothing_between_calls():
         (rng.randrange(Q), rng.randrange(Q), a_pt),
         (rng.randrange(Q), rng.randrange(Q), curve.point_neg(a_pt)),
     ]
-    expected = [curve._msm2_py(*case) for case in cases]
+    expected = [msm2_wnaf(*case) for case in cases]
     for i, first in enumerate(cases):
         for j, second in enumerate(cases):
             assert curve._msm2_libcrypto(*first) == expected[i], first
@@ -383,25 +368,9 @@ def test_msm2_libcrypto_reused_scratch_carries_nothing_between_calls():
 
 
 @needs_libcrypto
-def test_msm2_libcrypto_recovers_after_an_off_curve_point():
-    rng = random.Random(0xEC + 13)
-    a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
-    off = (GEN[0], (GEN[1] + 1) % P)
-    assert not curve.is_on_curve(off)
-    scratch = curve._scratch()
-    for _ in range(3):
-        m, g = rng.randrange(1, Q), rng.randrange(1, Q)
-        # refused by libcrypto, answered by the reference path
-        assert curve._msm2_libcrypto(m, g, off) == curve._msm2_py(m, g, off)
-        assert curve._msm2_libcrypto(m, g, a_pt) == curve._msm2_py(m, g, a_pt)
-    assert curve._scratch() is scratch
-
-
-@needs_libcrypto
 def test_import_self_check_leaves_no_scratch(monkeypatch):
     spec = importlib.util.spec_from_file_location("_curve_fresh_copy", curve.__file__)
     fresh = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, fresh)  # dataclasses look it up
     spec.loader.exec_module(fresh)
     assert fresh.BACKEND == "libcrypto"
     assert fresh.scalar_mul is fresh._scalar_mul_libcrypto
@@ -417,7 +386,6 @@ def _curve_without_libcrypto(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", refuse)
     spec = importlib.util.spec_from_file_location("_curve_without_libcrypto", curve.__file__)
     isolated = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, isolated)  # dataclasses look it up
     spec.loader.exec_module(isolated)
     return isolated
 
@@ -426,7 +394,7 @@ def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
     isolated = _curve_without_libcrypto(monkeypatch)
     assert isolated._LIBCRYPTO is None
     assert isolated.BACKEND == "pure-python"
-    assert isolated.msm2 is isolated._msm2_py
+    assert isolated.msm2 is isolated._msm2_ladder
     assert isolated.scalar_mul is isolated.ladder_mul
     _check_msm2_degenerate_terms(isolated.msm2)
     for pt, s in _scalar_edge_cases()[:12]:
@@ -436,9 +404,84 @@ def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
 def test_msm2_public_name_is_the_loaded_backend():
     bound = (curve.msm2, curve.scalar_mul, curve._pow_p, curve.BACKEND)
     if curve._LIBCRYPTO is None:
-        assert bound == (curve._msm2_py, curve.ladder_mul, curve._pow_p_py, "pure-python")
+        assert bound == (curve._msm2_ladder, curve.ladder_mul, curve._pow_p_py, "pure-python")
     else:
         assert bound == (curve._msm2_libcrypto, curve._scalar_mul_libcrypto, curve._pow_p_libcrypto, "libcrypto")
+
+
+def _off_curve_points():
+    """Points ``is_on_curve`` refuses: a wrong y, y = 0, the unreduced twin
+    (x + P, y) of a point with a small x (libcrypto would reduce it), and
+    coordinates below 0 or at 2^224."""
+    small = next(pt for pt in map(curve.solve_y, range(1, 100)) if pt is not None)
+    return [
+        (GEN[0], (GEN[1] + 1) % P),
+        (0, 0),
+        (GEN[0], 0),
+        (small[0] + P, small[1]),
+        (GEN[0], -GEN[1]),
+        (-1, GEN[1]),
+        (2**224, GEN[1]),
+    ]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the ValueError it raises, as a value."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@needs_libcrypto
+def test_both_backends_return_the_same_point_or_both_refuse(monkeypatch):
+    fallback = _curve_without_libcrypto(monkeypatch)
+    assert (fallback.msm2, fallback.scalar_mul) == (fallback._msm2_ladder, fallback.ladder_mul)
+    rng = random.Random(0xEC + 22)
+    a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+    m, g = curve.rand_nonzero_scalar(rng), curve.rand_nonzero_scalar(rng)
+    scalars = [(0, 0), (m, 0), (m, Q), (0, g), (m, g), (Q + m, 2 * Q + g)]
+    points = [None, GEN, a_pt] + _off_curve_points()
+    refused = 0
+    for mm, gg, pt in [(mm, gg, pt) for pt in points for mm, gg in scalars] + _degenerate_msm2_cases():
+        off = pt is not None and not curve.is_on_curve(pt)
+        native = _outcome(curve._msm2_libcrypto, mm, gg, pt)
+        assert native == _outcome(fallback.msm2, mm, gg, pt), (mm, gg, pt)
+        assert (native == ("ValueError", "point not on the curve")) == (off and gg % Q != 0), (mm, gg, pt)
+        refused += off and gg % Q != 0
+    for pt in points:
+        off = pt is not None and not curve.is_on_curve(pt)
+        for s in (0, Q, g, Q + g):
+            native = _outcome(curve._scalar_mul_libcrypto, pt, s)
+            assert native == _outcome(fallback.scalar_mul, pt, s), (pt, s)
+            assert (native == ("ValueError", "point not on the curve")) == (off and s % Q != 0), (pt, s)
+    assert refused == 3 * len(_off_curve_points())
+
+
+def _libcrypto_error_pending():
+    """True when this thread's libcrypto error queue is not empty."""
+    lib = ctypes.CDLL("libcrypto.so.3")  # the loaded library; its queue is per thread
+    lib.ERR_peek_error.restype = ctypes.c_ulong
+    lib.ERR_peek_error.argtypes = []
+    return lib.ERR_peek_error() != 0
+
+
+@needs_libcrypto
+def test_libcrypto_refusal_leaves_no_error_and_the_scratch_usable():
+    rng = random.Random(0xEC + 13)
+    a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
+    scratch = curve._scratch()
+    for off in _off_curve_points():
+        m, g = rng.randrange(1, Q), rng.randrange(1, Q)
+        with pytest.raises(ValueError, match="point not on the curve"):
+            curve._msm2_libcrypto(m, g, off)
+        assert not _libcrypto_error_pending()
+        assert curve._msm2_libcrypto(m, g, a_pt) == msm2_wnaf(m, g, a_pt)
+        with pytest.raises(ValueError, match="point not on the curve"):
+            curve._scalar_mul_libcrypto(off, g)
+        assert not _libcrypto_error_pending()
+        assert curve._scalar_mul_libcrypto(GEN, g) == curve.ladder_mul(GEN, g)
+    assert curve._scratch() is scratch
 
 
 def test_point_add_inverse_and_identity():

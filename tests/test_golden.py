@@ -2,10 +2,16 @@
 
 These hex strings were produced by this implementation at seed 7 and
 pinned; any change to encodings, hash inputs, RNG consumption order, or
-engine scheduling shows up here first.
+engine scheduling shows up here first. Three of the canned scenarios
+are also run with libcrypto refused, so the pure-Python backend is held
+to the same hashes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +76,44 @@ def test_every_canned_scenario_is_pinned():
 def test_canned_transcript_is_byte_identical(name):
     transcript = scenarios.run_scenario(scenarios.canned_scenarios()[name])
     assert hashlib.sha256(transcript.to_text().encode()).hexdigest() == CANNED_TRANSCRIPT_SHA256[name]
+
+
+# Imports the package while ctypes.CDLL("libcrypto.so.3") fails, so every
+# group operation runs on the ladder, the square root's exponent on pow and
+# the pseudonym cipher on the cryptography package; checks that verify
+# refuses an off-curve key there too, then prints one "<name> <sha256>"
+# line per scenario named on the command line.
+_FALLBACK_RUN = """
+import ctypes, hashlib, random, sys
+
+_cdll = ctypes.CDLL
+
+def _cdll_without_libcrypto(name, *args, **kwargs):
+    if name == "libcrypto.so.3":
+        raise OSError(name + ": cannot open shared object file")
+    return _cdll(name, *args, **kwargs)
+
+ctypes.CDLL = _cdll_without_libcrypto
+from v2xauth.crypto import curve, signatures
+from v2xauth.simnet import scenarios
+
+assert (curve.LIBCRYPTO, curve.BACKEND) == (None, "pure-python"), curve.BACKEND
+pk = curve.ladder_mul(curve.GEN, 7)
+sig = signatures.sign(7, b"msg", random.Random(1))
+assert signatures.verify(pk, sig, b"msg")
+assert signatures.verify((pk[0], (pk[1] + 1) % curve.P), sig, b"msg") is False
+for name in sys.argv[1:]:
+    text = scenarios.run_scenario(scenarios.canned_scenarios()[name]).to_text()
+    print(name, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_canned_transcripts_are_byte_identical_without_libcrypto():
+    names = ["honest", "revocation", "trace-audit"]
+    src = Path(scenarios.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_RUN, *names], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"{name} {CANNED_TRANSCRIPT_SHA256[name]}" for name in names]

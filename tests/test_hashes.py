@@ -53,7 +53,7 @@ def test_scalar_hash_always_in_range():
 def test_domain_separation_across_tags():
     # same argument list hashed under every tag: all outputs pairwise distinct
     rng = random.Random(0x46)
-    tags = sorted(hashes.HASH_FAMILY)
+    tags = [hashes.TAG_H0, hashes.TAG_H1, hashes.TAG_H2, hashes.TAG_H3, hashes.TAG_H4, hashes.TAG_H5, hashes.TAG_H6]
     for _ in range(100_000 // len(tags)):
         args = [rng.randbytes(16)]
         pres = [encode_preimage(t, args) for t in tags]

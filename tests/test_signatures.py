@@ -40,6 +40,16 @@ def test_verify_rejects_wrong_key_and_garbage():
     assert not signatures.verify(None, sig, b"msg")
 
 
+def test_verify_returns_false_for_an_off_curve_key():
+    rng = random.Random(0x65)
+    sk, pk = signatures.keygen_sig(rng)
+    sig = signatures.sign(sk, b"msg", rng)
+    assert signatures.verify(pk, sig, b"msg")
+    for off in ((pk[0], (pk[1] + 1) % curve.P), (pk[0], 0), (pk[0] + curve.P, pk[1]), (-pk[0], pk[1])):
+        assert not curve.is_on_curve(off)
+        assert signatures.verify(off, sig, b"msg") is False
+
+
 def test_signing_deterministic_under_seed():
     sk, _ = signatures.keygen_sig(random.Random(7))
     sig1 = signatures.sign(sk, b"x", random.Random(99))
@@ -80,8 +90,10 @@ def test_seal_wrong_recipient_fails():
 
 def _seal_with_ephemeral_field(pk_owner_sk, x_field: int, eph_pub, msg: bytes) -> bytes:
     """A blob whose ephemeral field is ``x_field`` and whose tag verifies
-    for ``eph_pub``; built from the recipient's key, as no sender could."""
-    shared = curve.scalar_mul(eph_pub, pk_owner_sk)
+    for ``eph_pub``; built from the recipient's key, as no sender could.
+    The group arithmetic refuses a coordinate outside [0, P), so the
+    shared point is taken on ``eph_pub`` reduced mod P."""
+    shared = curve.scalar_mul((eph_pub[0] % curve.P, eph_pub[1] % curve.P), pk_owner_sk)
     keys = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"keys", eph_pub, shared]), 2 * hashes.TAG_LEN)
     ke, km = keys[: hashes.TAG_LEN], keys[hashes.TAG_LEN :]
     ct = symmetric.sym_encrypt(ke, msg, b"hybrid")

@@ -272,7 +272,7 @@ def test_short_lived_threads_free_their_native_scratch(monkeypatch):
     a_pt = curve.scalar_mul(GEN, 0x5EED)
     pid = bytes(16)
     expected = (
-        curve._msm2_py(3, 5, a_pt),
+        curve.ladder_mul(GEN, 3 + 5 * 0x5EED),
         pow(7, curve._SQRT_EXP, curve.P),
         _cryptography_block(symmetric.pid_cipher_key(9), pid, False),
     )
