@@ -257,6 +257,12 @@ class Authority:
         self.params = SystemParams(sign_pk=self.sign_pk, enc_pk=self.enc_pk)
 
     def handle_registration(self, request: RegistrationRequest, now: int) -> "tuple[bytes, bytes, int]":
+        """Unseal, check, sign and append one registration: no square root.
+
+        ``adec`` validates the sealed ephemeral point (sent as x || y) and
+        multiplies it by the decryption key; the commitment is checked
+        with Euler's criterion. A refused registration raises before the
+        RNG is drawn and leaves the ledger and ``_ids`` as they were."""
         identity, ch_key = _open_registration(signatures.adec(self._enc_sk, request.c1))
         self.chain.check_registrable(ch_key, now)  # before the signature draws from the RNG
         t_exp = now + REGISTRATION_LIFETIME_MS

@@ -29,8 +29,9 @@ algorithm:
 An off-curve point is refused the same way on both backends: a point
 that ``is_on_curve`` refuses raises ValueError wherever a nonzero
 scalar (mod q) multiplies it, and gives the identity where the scalar
-is 0 mod q. No production caller passes one: wire decoding and
-``signatures.adec`` take their points from ``solve_y``, and
+is 0 mod q. No production caller passes one: wire decoding takes its
+points from ``solve_y``, ``signatures.adec`` refuses a sealed blob whose
+ephemeral x || y fails ``is_on_curve`` before it multiplies, and
 ``signatures.verify`` returns False for an off-curve public key.
 
 Which secret scalars take which path, with libcrypto loaded:
@@ -93,12 +94,14 @@ on the same host with the native exponent (0.23 ms with ``pow``), where
 Tonelli-Shanks took 2.1-2.3 ms.
 
 Only a caller that needs y pays for a root: the roadside unit's request
-decode (A, for ``msm2``), ``signatures.adec`` (the ephemeral point, for
-``scalar_mul``) and ``point_decompress`` (``Registration.ch`` on its
-first read). A caller that only compares, hashes or stores a 29-byte
-compressed point needs to know that it names one: the authority's check
-of a sealed commitment and ``ledger.snapshot_load`` call
-``check_compressed``, one exponentiation (Euler's criterion).
+decode (A, for ``msm2``) and ``point_decompress`` (``Registration.ch``
+on its first read). ``signatures.adec`` takes none: a sealed blob
+carries its ephemeral point as x || y, which ``is_on_curve`` validates.
+A caller that only compares, hashes or stores a 29-byte compressed
+point needs to know that it names one: the authority's check of a
+sealed commitment and ``ledger.snapshot_load`` call
+``check_compressed``, one exponentiation (Euler's criterion). So a
+registration costs the authority no root.
 """
 
 from __future__ import annotations

@@ -7,6 +7,21 @@ ephemeral point, an XOF-derived keystream, and a MAC tag, so tampering
 is detected at decryption (unlike the protocol's symmetric layer, this
 ciphertext has no downstream hash check to lean on).
 
+A sealed blob is ``x || y || tag || ct``: the ephemeral point E in the
+uncompressed form of SEC 1 v2 (section 2.3.3) without its 0x04 prefix,
+two 28-byte big-endian coordinates, then the 20-byte tag and the
+ciphertext, so a blob is at least 76 bytes. Sending y costs 28 bytes on
+a one-time registration message and saves the authority a field square
+root, and the sender a redraw of its ephemeral key until y is even.
+``adec`` validates E instead of decoding it, as the public-key
+validation of Antipa, Brown, Menezes, Struik and Vanstone (PKC 2003)
+prescribes: both coordinates in [0, P) and the curve equation, one
+``is_on_curve`` call. P-224 has cofactor 1 and (0, 0) is not on it, so
+a point that passes lies in the prime-order group and is not the
+identity. A blob that fails raises ``IntegrityError`` before
+``scalar_mul`` sees E, on either backend. The KDF hashes E compressed,
+with its parity prefix, so E and -E derive different keys.
+
 All randomness is drawn from the caller's RNG so that seeded runs are
 reproducible end to end, signatures included.
 """
@@ -16,20 +31,21 @@ from __future__ import annotations
 import hmac
 
 from .curve import (
+    COORD_BYTES,
     GEN,
     Q,
     SCALAR_BYTES,
+    is_on_curve,
     ladder_mul,
     rand_nonzero_scalar,
     scalar_mul,
     msm2,
-    solve_y,
-    has_even_y,
 )
 from .hashes import TAG_LEN, hybrid_keys, hybrid_mac, sig_digest
 from .symmetric import sym_decrypt, sym_encrypt
 
 SIG_LEN = 2 * SCALAR_BYTES  # r || s
+EPH_LEN = 2 * COORD_BYTES  # x || y of a sealed blob's ephemeral point
 
 
 class IntegrityError(Exception):
@@ -76,30 +92,25 @@ def verify(pk, sig: bytes, msg: bytes) -> bool:
 
 
 def aenc(pk, msg: bytes, rng) -> bytes:
-    """Seal msg to pk: ephemeral x (28) || tag (20) || ciphertext."""
-    while True:
-        eph = rand_nonzero_scalar(rng)
-        # vehicle side: on the ladder until ROADMAP item 1 releases it
-        eph_pub = ladder_mul(GEN, eph)
-        if has_even_y(eph_pub):  # x-only encoding needs the even-y representative
-            break
+    """Seal msg to pk: ephemeral x (28) || y (28) || tag (20) || ciphertext."""
+    eph = rand_nonzero_scalar(rng)
     # vehicle side: on the ladder until ROADMAP item 1 releases it
+    eph_pub = ladder_mul(GEN, eph)
     shared = ladder_mul(pk, eph)
     ke, km = hybrid_keys(eph_pub, shared)
     ct = sym_encrypt(ke, msg, b"hybrid")
     tag = hybrid_mac(km, ct)
-    return eph_pub[0].to_bytes(SCALAR_BYTES, "big") + tag + ct
+    return eph_pub[0].to_bytes(COORD_BYTES, "big") + eph_pub[1].to_bytes(COORD_BYTES, "big") + tag + ct
 
 
 def adec(sk: int, blob: bytes) -> bytes:
-    if len(blob) < SCALAR_BYTES + TAG_LEN:
+    if len(blob) < EPH_LEN + TAG_LEN:
         raise IntegrityError("sealed blob too short")
-    x = int.from_bytes(blob[:SCALAR_BYTES], "big")
-    tag = blob[SCALAR_BYTES : SCALAR_BYTES + TAG_LEN]
-    ct = blob[SCALAR_BYTES + TAG_LEN :]
-    eph_pub = solve_y(x)
-    if eph_pub is None:
+    eph_pub = (int.from_bytes(blob[:COORD_BYTES], "big"), int.from_bytes(blob[COORD_BYTES:EPH_LEN], "big"))
+    if not is_on_curve(eph_pub):
         raise IntegrityError("ephemeral point not on curve")
+    tag = blob[EPH_LEN : EPH_LEN + TAG_LEN]
+    ct = blob[EPH_LEN + TAG_LEN :]
     shared = scalar_mul(eph_pub, sk)
     ke, km = hybrid_keys(eph_pub, shared)
     expect = hybrid_mac(km, ct)

@@ -8,8 +8,10 @@ exchange; all integers are big-endian.
 Curve points on the wire are 28 bytes: the x-coordinate alone, with the
 convention that the encoded point is the even-y representative. Senders
 guarantee canonical form by construction (the blinding exponent is
-resampled until the blinded point lands on even y), so no sign byte is
+negated when the blinded point lands on odd y), so no sign byte is
 spent. An x outside [0, P) is rejected, so no point has two encodings.
+A registration request's sealed blob is opaque here; its ephemeral
+point travels as x || y (``signatures.aenc``).
 Timestamps are 4-byte milliseconds modulo 2^32 of harness time;
 freshness comparisons are wraparound-aware.
 

@@ -14,9 +14,15 @@ package's fallback of two ladders. It is the fast reference for the differential
 ``curve._msm2_libcrypto`` to 10^4 instances, and is itself checked
 against the naive oracle. It shares the curve module's Jacobian
 doubling and addition with the ladder.
+
+``curve_without_libcrypto`` imports a fresh copy of the curve module
+while ``ctypes.CDLL`` fails: the pure-Python backend, side by side with
+the loaded one.
 """
 
+import ctypes
 import functools
+import importlib.util
 import random
 
 from v2xauth.crypto import curve
@@ -161,3 +167,16 @@ def msm2_wnaf(m: int, gamma: int, a_pt):
                 px, py = table[-d >> 1]
                 acc = _jac_add_affine(*acc, px, P - py)
     return _jac_to_affine(*acc)
+
+
+def curve_without_libcrypto(monkeypatch):
+    """A fresh copy of the module, imported while ``ctypes.CDLL`` fails."""
+
+    def refuse(*args, **kwargs):
+        raise OSError("libcrypto.so.3: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    spec = importlib.util.spec_from_file_location("_curve_without_libcrypto", curve.__file__)
+    isolated = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(isolated)
+    return isolated

@@ -32,7 +32,7 @@ import sys
 import threading
 
 import pytest
-from curve_oracle import msm2_wnaf, oracle_add, oracle_generator_multiples, oracle_mul
+from curve_oracle import curve_without_libcrypto, msm2_wnaf, oracle_add, oracle_generator_multiples, oracle_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -377,21 +377,8 @@ def test_import_self_check_leaves_no_scratch(monkeypatch):
     assert "scratch" not in vars(fresh._TLS)
 
 
-def _curve_without_libcrypto(monkeypatch):
-    """A fresh copy of the module, imported while ``ctypes.CDLL`` fails."""
-
-    def refuse(*args, **kwargs):
-        raise OSError("libcrypto.so.3: cannot open shared object file")
-
-    monkeypatch.setattr(ctypes, "CDLL", refuse)
-    spec = importlib.util.spec_from_file_location("_curve_without_libcrypto", curve.__file__)
-    isolated = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(isolated)
-    return isolated
-
-
 def test_msm2_falls_back_to_reference_without_libcrypto(monkeypatch):
-    isolated = _curve_without_libcrypto(monkeypatch)
+    isolated = curve_without_libcrypto(monkeypatch)
     assert isolated._LIBCRYPTO is None
     assert isolated.BACKEND == "pure-python"
     assert isolated.msm2 is isolated._msm2_ladder
@@ -435,7 +422,7 @@ def _outcome(fn, *args):
 
 @needs_libcrypto
 def test_both_backends_return_the_same_point_or_both_refuse(monkeypatch):
-    fallback = _curve_without_libcrypto(monkeypatch)
+    fallback = curve_without_libcrypto(monkeypatch)
     assert (fallback.msm2, fallback.scalar_mul) == (fallback._msm2_ladder, fallback.ladder_mul)
     rng = random.Random(0xEC + 22)
     a_pt = curve.scalar_mul(GEN, curve.rand_nonzero_scalar(rng))
@@ -573,7 +560,7 @@ def test_check_compressed_takes_no_square_root(monkeypatch):
 
 
 def test_check_compressed_agrees_without_libcrypto(monkeypatch):
-    isolated = _curve_without_libcrypto(monkeypatch)
+    isolated = curve_without_libcrypto(monkeypatch)
     assert isolated._pow_p is isolated._pow_p_py
     for data in _compressed_corpus()[:300]:
         assert _accepted(isolated.check_compressed, data) == _decodes_to_a_point(data), data.hex()
@@ -733,7 +720,7 @@ def test_pow_p_libcrypto_edge_inputs_and_seeded_pairs():
 
 
 def test_sqrt_mod_p_falls_back_to_python_pow_without_libcrypto(monkeypatch):
-    isolated = _curve_without_libcrypto(monkeypatch)
+    isolated = curve_without_libcrypto(monkeypatch)
     assert isolated._pow_p is isolated._pow_p_py
     inputs = _pow_p_inputs()[:2_000] + [2 * P + 9, 3 * P - 1, 2**300 + 5]
     for n in inputs:

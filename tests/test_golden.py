@@ -28,7 +28,7 @@ GOLDEN_REP_LINE = (
     "75b039273c89a382c03b59c6de91d2c2000003ea"
 )
 GOLDEN_ACK_LINE = "t=1006 vn1->rsu1 ACK a5b1ac25985350ec7979c73d508a6e5deac4a0f5"
-GOLDEN_TRANSCRIPT_SHA256 = "d1d45c366d0305469e18c9c55929ddf17c26fe193feb288174d136b41b0bfada"
+GOLDEN_TRANSCRIPT_SHA256 = "207b285a07a8de2238c072f4e4a7392f6f1ab246fb1d5f9f20efb72efe9e1fb2"
 
 
 def test_golden_handover_transcript():
@@ -52,19 +52,19 @@ def test_golden_field_widths():
 # SHA-256 of run_scenario(...).to_text() for every canned scenario: the
 # message lines and the event lines, including the authority's trace path.
 CANNED_TRANSCRIPT_SHA256 = {
-    "honest": "d1d45c366d0305469e18c9c55929ddf17c26fe193feb288174d136b41b0bfada",
-    "demo": "4de550649c2d0b02cd349771d2b01f35fc7448e79206384ae5f2cad654b3b92e",
-    "replay": "1507187fb3663b92409ef4000f080ccaf31aef68b930156d741c082b3b470772",
-    "tamper-req": "364a23af4704ed24c40f45d321fa34e6c6271989362864df4b01884dff99c8b7",
-    "tamper-rep": "9fca8da4b4954d6d7f5cb29dfc11b47103286686f49de3e930d884fb9e7382d9",
-    "tamper-ack": "a578810f00e879226229b0478b24855bb7dbc6f72284450e4acb5f4c5f374dd1",
-    "splice": "fc8bad9874829a8d98520d7a970e065009d5aa8c8c51eebfd997f24ce95b29e9",
-    "impersonation": "b9d04414c08f9591b1c588234fe5142474593781c8fc2823611f4d220467504f",
-    "cross-domain": "438953d7afab11588ac9be9a260361d135f0950f9c5dd3b105623d0936f078bd",
-    "cross-domain-early": "3156418d2a27a10094ca8f7b57bd59d1bd4182d3374f0641f5eb4922f4c36c1b",
-    "revocation": "83ebdd86138dafed14158773fd937c52bd566b8198d762b0582203092c5f2263",
-    "trace-audit": "c4150322518c28613d91b70031d98b4a8cf7908dccd69ef12f3313243d529fa2",
-    "bad-txid": "387390ff8c3ace4ef18c511187cf788f43cdb4554df348dbe901186e0d6ead08",
+    "honest": "207b285a07a8de2238c072f4e4a7392f6f1ab246fb1d5f9f20efb72efe9e1fb2",
+    "demo": "fa8f75d4e8180396ccb39d13db136bbf832df377a9b521e1abe3a2580900e066",
+    "replay": "8dde5faeec1fe289a376149424016a9617dabdcf1978178536481e67a3685302",
+    "tamper-req": "4ae6fd23ad566502e988952fe02f5134bac8af2b085ebdc232c851180943d1ef",
+    "tamper-rep": "3cc495844b5f3c96cb13cdb973abd94f4217ceef0da5ac018510546eeb49148c",
+    "tamper-ack": "b36c8610913754f6939ca72a338ec412bc61753a9d2c9e26f8dc92d00e8e9ad1",
+    "splice": "42d19358a5c87511fe30e69b7c7c71b63ef8195ecfa6680a1a50efbd73326cb5",
+    "impersonation": "839efb6e2049d56bb0c698bd50c1d52ec8feb8ef1704a940be371042efd3c870",
+    "cross-domain": "b50fa562ebfb9ad936a7684c497cdf226dc21902e7aa811e8d36a209e26a954d",
+    "cross-domain-early": "ac7757ba674cf0222e523fc2516628a65a9957cf0530798556931a6ad2776bf5",
+    "revocation": "34e810dd9c458aa92a681ad1caec09281741ea1d611ba1c78530ed66e35f4420",
+    "trace-audit": "c59f38315c6011c075b2707089135e3ad9ad25492ea91d4488bd6b0523d00982",
+    "bad-txid": "dfc88510134cc69b851f811b667fc6b13536cc2e841746dfdc598a97a247c05e",
 }
 
 

@@ -180,9 +180,9 @@ def test_the_fuzzed_messages_are_one_step_from_accepted_ones():
 # --- the authority's registration handler, through RegistrationRequest and adec ---
 
 REGISTRATION_REJECTS = (wire.WireError, signatures.IntegrityError, actors.MalformedRegistration)
-# length prefix, then the sealed blob: ephemeral x, tag, and the 16-byte
+# length prefix, then the sealed blob: ephemeral x and y, tag, and the 16-byte
 # identity with its length and the compressed commitment
-REG_LEN = 2 + 28 + hashes.TAG_LEN + 2 + 16 + 29
+REG_LEN = 2 + 28 + 28 + hashes.TAG_LEN + 2 + 16 + 29
 
 
 def _authority_state(d):

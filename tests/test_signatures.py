@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from curve_oracle import curve_without_libcrypto
 from preimage_oracle import encode_preimage
 from v2xauth.crypto import curve, hashes, signatures, symmetric
 
@@ -88,28 +89,115 @@ def test_seal_wrong_recipient_fails():
     assert signatures.adec(sk1, blob) == b"secret"
 
 
-def _seal_with_ephemeral_field(pk_owner_sk, x_field: int, eph_pub, msg: bytes) -> bytes:
-    """A blob whose ephemeral field is ``x_field`` and whose tag verifies
-    for ``eph_pub``; built from the recipient's key, as no sender could.
-    The group arithmetic refuses a coordinate outside [0, P), so the
-    shared point is taken on ``eph_pub`` reduced mod P."""
-    shared = curve.scalar_mul((eph_pub[0] % curve.P, eph_pub[1] % curve.P), pk_owner_sk)
-    keys = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"keys", eph_pub, shared]), 2 * hashes.TAG_LEN)
+def test_seal_is_one_draw_and_two_ladder_calls(monkeypatch):
+    # operation counts: one eph per seal (odd y is sent as is), eph*G and
+    # eph*pk on the ladder. The counted stand-in returns the ladder's point
+    # through scalar_mul, which the curve tests hold equal to it, so that a
+    # thousand seals stay cheap
+    calls = []
+
+    def counted(pt, s):
+        calls.append(pt)
+        return curve.scalar_mul(pt, s)
+
+    monkeypatch.setattr(signatures, "ladder_mul", counted)
+    rng = random.Random(0x67)
+    sk, pk = signatures.keygen_enc(rng)
+    odd = 0
+    for n in range(1000):
+        msg = rng.randbytes(n % 50)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        blob = signatures.aenc(pk, msg, rng)
+        eph = curve.rand_nonzero_scalar(twin)
+        assert rng.getstate() == twin.getstate()
+        assert blob[: signatures.EPH_LEN] == b"".join(c.to_bytes(28, "big") for c in curve.scalar_mul(curve.GEN, eph))
+        assert len(blob) == signatures.EPH_LEN + hashes.TAG_LEN + len(msg)
+        assert signatures.adec(sk, blob) == msg
+        odd += blob[signatures.EPH_LEN - 1] & 1
+    assert len(calls) == 2 * 1000
+    assert 400 < odd < 600  # both parities are sealed
+
+
+def _seal_with_ephemeral_field(sk, field, msg: bytes) -> bytes:
+    """A blob whose ephemeral field is ``field`` = (x, y), 28 bytes each,
+    built from the recipient's key, as no sender could. Its tag verifies
+    for the point a decoder would build had it reduced the field mod P
+    (libcrypto reduces an unreduced coordinate): so only the range check
+    stops such a blob. An off-curve field gets a tag over the identity."""
+    reduced = (field[0] % curve.P, field[1] % curve.P)
+    shared = curve.scalar_mul(reduced, sk) if curve.is_on_curve(reduced) else None
+    keys = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"keys", field, shared]), 2 * hashes.TAG_LEN)
     ke, km = keys[: hashes.TAG_LEN], keys[hashes.TAG_LEN :]
     ct = symmetric.sym_encrypt(ke, msg, b"hybrid")
     tag = hashes.xof_bytes(encode_preimage(hashes.TAG_HYBRID_KDF, [b"mac", km, ct]), hashes.TAG_LEN)
-    return x_field.to_bytes(28, "big") + tag + ct
+    return field[0].to_bytes(28, "big") + field[1].to_bytes(28, "big") + tag + ct
 
 
-def test_seal_with_ephemeral_x_at_or_above_p_rejected():
+# a point with y = 1, so that y + P still fits in 28 bytes: x is the one
+# root of x^3 - 3x + b - 1 over F_P, found offline by gcd(X^P - X, f)
+SMALL_Y_POINT = (0x3B5889352DDF7468BF8C0729212AA1B2A3FCB1A844B8BE91ABB753D5, 1)
+
+
+def test_seal_with_an_ephemeral_coordinate_at_or_above_p_rejected():
     rng = random.Random(0x66)
     sk, _ = signatures.keygen_enc(rng)
-    eph = curve.solve_y(3)
-    honest = _seal_with_ephemeral_field(sk, 3, eph, b"identity payload")
-    assert signatures.adec(sk, honest) == b"identity payload"
-    # x + P names the same point mod P; its tag is made to verify for the
-    # tuple the decoder would build from it, so only the range check stops it
-    shifted = (3 + curve.P, eph[1])
-    forged = _seal_with_ephemeral_field(sk, 3 + curve.P, shifted, b"identity payload")
-    with pytest.raises(signatures.IntegrityError):
-        signatures.adec(sk, forged)
+    small_x = curve.solve_y(3)
+    for eph, shifted in ((small_x, (3 + curve.P, small_x[1])), (SMALL_Y_POINT, (SMALL_Y_POINT[0], 1 + curve.P))):
+        assert curve.is_on_curve(eph) and shifted[0] < 2**224 and shifted[1] < 2**224
+        honest = _seal_with_ephemeral_field(sk, eph, b"identity payload")
+        assert signatures.adec(sk, honest) == b"identity payload"
+        # the shifted field names the same point mod P, and its tag verifies
+        # for that point: only the range check stops it
+        with pytest.raises(signatures.IntegrityError, match="not on curve"):
+            signatures.adec(sk, _seal_with_ephemeral_field(sk, shifted, b"identity payload"))
+
+
+@pytest.mark.parametrize("backend", ["libcrypto", "pure-python"])
+def test_adec_validates_the_ephemeral_point_before_any_multiplication(backend, monkeypatch):
+    if backend == "libcrypto":
+        if curve._LIBCRYPTO is None:
+            pytest.skip("libcrypto did not load")
+        scalar_mul = curve.scalar_mul
+    else:
+        fallback = curve_without_libcrypto(monkeypatch)
+        assert fallback.scalar_mul is fallback.ladder_mul
+        scalar_mul = fallback.scalar_mul
+    calls = []
+
+    def counted(pt, s):
+        calls.append(pt)
+        return scalar_mul(pt, s)
+
+    rng = random.Random(0x68)
+    sk, pk = signatures.keygen_enc(rng)
+    msg = b"identity payload"
+    honest = signatures.aenc(pk, msg, rng)
+    monkeypatch.setattr(signatures, "scalar_mul", counted)
+    x, y = (int.from_bytes(honest[i : i + 28], "big") for i in (0, 28))
+    rest = honest[signatures.EPH_LEN :]
+
+    def with_field(fx, fy):
+        return fx.to_bytes(28, "big") + fy.to_bytes(28, "big") + rest
+
+    assert signatures.adec(sk, honest) == msg and calls == [(x, y)]
+    small_x = curve.solve_y(3)
+    refused = [
+        with_field(x, y + 1),
+        _seal_with_ephemeral_field(sk, (3 + curve.P, small_x[1]), msg),
+        _seal_with_ephemeral_field(sk, (SMALL_Y_POINT[0], 1 + curve.P), msg),
+        with_field(0, 0),
+        honest[: signatures.EPH_LEN + hashes.TAG_LEN - 1],
+        honest[: signatures.EPH_LEN],
+        b"",
+    ]
+    for blob in refused:
+        calls.clear()
+        with pytest.raises(signatures.IntegrityError):
+            signatures.adec(sk, blob)
+        assert calls == [], blob.hex()
+    # -E is on the curve, so it is multiplied once and fails at the MAC
+    calls.clear()
+    with pytest.raises(signatures.IntegrityError, match="tag mismatch"):
+        signatures.adec(sk, with_field(x, curve.P - y))
+    assert calls == [(x, curve.P - y)]

@@ -5,7 +5,11 @@ machines.
 The ledger machine appends registrations and revocations at times that
 may go backwards and round-trips the log through a snapshot; the full
 scan the ledger used before it kept an index is the oracle, and a
-revoked commitment is never registered again. The RSU machine runs
+revoked commitment is never registered again. Beside it, a node's
+``LedgerView`` with a drawn sync delay follows a clock that only moves
+forward: after each sync its lookups agree with the longest prefix of
+the log whose entries are all visible at that time, and its applied
+height never decreases, across snapshot reloads too. The RSU machine runs
 handovers (confirmed or not), revocations, rotations and a clock that
 passes the fleet's registration expiry on one roadside unit, and holds
 its verdicts and session table to a model of the latest confirmed
@@ -54,16 +58,65 @@ def oracle_revoked(entries, ch_key: bytes) -> bool:
     )
 
 
+def oracle_visible_height(entries, delay: int, now: int) -> int:
+    """The longest prefix of the log whose entries are all visible at
+    ``now`` to a node that sees each entry ``delay`` ms after its timestamp."""
+    height = 0
+    while height < len(entries) and entries[height].timestamp + delay <= now:
+        height += 1
+    return height
+
+
+def oracle_view(entries):
+    """(ch key -> last registration tx, revoked keys) over ``entries``."""
+    index, revoked = {}, set()
+    for tx in entries:
+        if isinstance(tx.payload, lg.Registration):
+            index[tx.payload.ch_key] = tx
+        else:
+            revoked.add(tx.payload.ch_key)
+    return index, revoked
+
+
 class LedgerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.rng = random.Random(0x5EED)
+        self.view = None
         self._adopt(lg.Ledger())
 
     def _adopt(self, ledger):
         self.ledger = ledger
         self.reg_token = ledger.mint_token("registration")
         self.rev_token = ledger.mint_token("revocation")
+        if self.view is not None:
+            # a node rebuilt on the new ledger catches up to the same clock
+            view = lg.LedgerView("node", ledger, sync_delay_ms=self.view.sync_delay_ms)
+            view.sync_to(self.clock)
+            self.view = view
+            self._check_view()
+
+    @initialize(delay=st.integers(0, 60))
+    def open_view(self, delay):
+        self.view = lg.LedgerView("node", self.ledger, sync_delay_ms=delay)
+        self.clock = 0  # the view's clock only moves forward
+        self.synced_height = 0
+
+    @rule(step=st.integers(0, 40))
+    def sync(self, step):
+        self.clock += step
+        self.view.sync_to(self.clock)
+        assert self.view.applied_height == oracle_visible_height(self.ledger.entries, self.view.sync_delay_ms, self.clock)
+        self._check_view()
+
+    def _check_view(self):
+        height = self.view.applied_height
+        assert height >= self.synced_height
+        self.synced_height = height
+        index, revoked = oracle_view(self.ledger.entries[:height])
+        for key in KEYS:
+            assert self.view.find_by_ch(key) is index.get(key)
+            assert self.view.is_revoked(key) == (key in revoked)
 
     @rule(i=st.integers(0, len(POINTS) - 1), now=TIMES, t_exp=TIMES)
     def register(self, i, now, t_exp):
@@ -104,6 +157,10 @@ class LedgerMachine(RuleBasedStateMachine):
             for now in range(0, 122, 11):
                 expected = oracle_live_registration(self.ledger.entries, key, now) is not None
                 assert (self.ledger._live_registration(key, now) is not None) == expected
+
+    @invariant()
+    def view_holds_a_prefix_of_the_log(self):
+        self._check_view()
 
 
 FLEET = 3
