@@ -200,8 +200,6 @@ def _open_registration(plain: bytes) -> "tuple[bytes, bytes]":
     if len(plain) != 2 + id_len + 29:
         raise MalformedRegistration("identity length does not fit the plaintext")
     ch_key = plain[2 + id_len :]
-    if ch_key == bytes(29):
-        raise MalformedRegistration("commitment is the identity point")
     try:
         curve.check_compressed(ch_key)
     except ValueError as exc:
@@ -503,7 +501,7 @@ class Vehicle:
         s = curve.rand_nonzero_scalar(self.rng)
         m0 = curve.rand_nonzero_scalar(self.rng)
         r0 = hashes.h0(self.identity, s)
-        # vehicle side: on the ladder until ROADMAP item 1 releases it
+        # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
         y_point = curve.ladder_mul(GEN, x)
         commitment = chameleon.ch_commit(y_point, m0, r0)
         self._pending_keygen = (x, m0, r0, y_point, commitment)
@@ -548,7 +546,7 @@ class Vehicle:
         """(alpha, A = alpha*Y) with A in canonical even-y form, which comes
         for free: negating alpha flips the point's y parity."""
         alpha = curve.rand_nonzero_scalar(self.rng)
-        # vehicle side: on the ladder until ROADMAP item 1 releases it
+        # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
         a_pt = curve.ladder_mul(self.credential.y_point, alpha)
         if not curve.has_even_y(a_pt):
             alpha = Q - alpha

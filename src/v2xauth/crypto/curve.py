@@ -62,28 +62,34 @@ guarantee, and the fallback gives no side-channel protection.
 
 At import the module opens the system OpenSSL 3 ``libcrypto.so.3``
 through ``ctypes`` once, types every function the package calls from
-one signature table, and keeps the handle as ``LIBCRYPTO`` (``None``
-when it does not load); ``symmetric`` runs its pseudonym AES block on
-the same handle. When the library provides secp224r1, reproduces the
-generator and gives the known inverse of 2 through ``BN_mod_exp_mont``,
-``msm2`` and ``scalar_mul`` are bound to ``EC_POINT_mul`` and the
-square root's exponentiation to ``BN_mod_exp_mont``. Otherwise they are
-``_msm2_ladder``, ``ladder_mul`` and Python's ``pow``; the ladder and
-``pow`` also stay references the tests hold the native paths to.
-``BACKEND`` names the path in use (``"libcrypto"`` or
-``"pure-python"``). Both paths return identical results, including
-``None`` for the identity, and refuse the same points. Measured as
-thread CPU time on a shared 2-core x86-64 host (Python 3.11): ``msm2``
-takes 0.12-0.2 ms native and about 10 ms on two ladders; ``scalar_mul``
-about 0.06 ms fixed-base and 0.13 ms variable-base native, against
-3.7 ms on the ladder.
+one signature table, and keeps the handle with its secp224r1 group as
+``_LIBCRYPTO``. The library is used only when it loads, provides
+secp224r1 and passes one self-check: it reproduces the generator, gives
+the known inverse of 2 through ``BN_mod_exp_mont`` and gives the
+FIPS-197 C.1 AES-128 answer in both directions. Then ``msm2`` and
+``scalar_mul`` are bound to ``EC_POINT_mul``, the square root's
+exponentiation to ``BN_mod_exp_mont``, and ``symmetric``'s pseudonym
+cipher to ``_aes_ecb_libcrypto``. Otherwise the library is used for
+nothing: they are ``_msm2_ladder``, ``ladder_mul``, Python's ``pow``
+and the ``cryptography`` package; the ladder and ``pow`` also stay
+references the tests hold the native paths to. ``BACKEND`` names the
+path in use (``"libcrypto"`` or ``"pure-python"``) for all four. Both
+paths return identical results, including ``None`` for the identity,
+and refuse the same points. Measured as thread CPU time on a shared
+2-core x86-64 host (Python 3.11): ``msm2`` takes 0.12-0.2 ms native and
+about 10 ms on two ladders; ``scalar_mul`` about 0.06 ms fixed-base and
+0.13 ms variable-base native, against 3.7 ms on the ladder.
 
 The native calls work in a per-thread ``_Scratch``: a BN_CTX, the
-bignums, the two points ``msm2`` needs, an output buffer and a
-Montgomery context for P, created on a thread's first call and freed
-when the thread ends.  No native object is used by two threads, and no
-call allocates.  Allocating per call cost about 10 us of an ``msm2`` and
-12 us of a 36 us exponentiation, the Montgomery set-up included.
+bignums, the two points ``msm2`` needs, an output buffer, a Montgomery
+context for P and at most four AES-128-ECB contexts keyed by (subkey,
+direction), created on a thread's first call and freed when the thread
+ends. No native object is used by two threads. ``msm2``, ``_pow_p``
+and a one-block AES call on a held key allocate nothing: allocating per
+call cost about 10 us of an ``msm2`` and 12 us of a 36 us
+exponentiation, the Montgomery set-up included, and a one-block AES
+call took 12 us with a context of its own against 4-6 us on a held one.
+The self-check leaves no scratch behind.
 
 Decoding a 28-byte x-only point needs a field square root (``solve_y``).
 P - 1 = 2^96 * (2^128 - 1), the worst case for Tonelli-Shanks, so
@@ -260,7 +266,7 @@ def _msm2_ladder(m: int, gamma: int, a_pt):
     return point_add(ladder_mul(GEN, m), gamma_a)
 
 
-# --- libcrypto: the one native handle, used by the curve and the pseudonym cipher ---
+# --- libcrypto: the one native handle, for the group, the field and the pseudonym AES ---
 
 _NID_SECP224R1 = 713
 _VP = ctypes.c_void_p
@@ -284,7 +290,6 @@ _LIBCRYPTO_SIGNATURES = (
     ("EC_POINT_is_at_infinity", _INT, (_VP, _VP)),
     ("EC_POINT_mul", _INT, (_VP, _VP, _VP, _VP, _VP, _VP)),
     ("ERR_clear_error", None, ()),
-    # symmetric.pid_encrypt / pid_decrypt: AES-128-ECB blocks
     ("EVP_CIPHER_CTX_new", _VP, ()),
     ("EVP_CIPHER_CTX_free", None, (_VP,)),
     ("EVP_aes_128_ecb", _VP, ()),
@@ -295,7 +300,8 @@ _LIBCRYPTO_SIGNATURES = (
 
 
 def _load_libcrypto():
-    """libcrypto.so.3 with every function above typed, or None if unavailable."""
+    """``(lib, group)``: libcrypto.so.3 with every function above typed and
+    its secp224r1 group, or None if either is unavailable."""
     try:
         lib = ctypes.CDLL("libcrypto.so.3")
         for name, restype, argtypes in _LIBCRYPTO_SIGNATURES:
@@ -304,39 +310,42 @@ def _load_libcrypto():
             fn.argtypes = argtypes
     except (OSError, AttributeError):
         return None
-    return lib
-
-
-def _secp224r1(lib):
-    """``(lib, group)`` for secp224r1, or None if the library lacks it."""
-    if lib is None:
-        return None
     group = lib.EC_GROUP_new_by_curve_name(_NID_SECP224R1)
     return (lib, group) if group else None
 
 
 _P_BYTES = P.to_bytes(COORD_BYTES, "big")
+_AES_BLOCK = 16
 
 
 class _Scratch:
-    """One thread's native working set for ``msm2`` and ``_pow_p``.
+    """One thread's native working set for ``msm2``, ``_pow_p`` and the
+    pseudonym AES.
 
-    A BN_CTX, the bignums both calls fill, the two points ``msm2`` needs,
-    a 56-byte output buffer and a Montgomery context for P, set up once.
-    Every call overwrites what it reads, so nothing carries from one call
-    to the next. Only the thread that created it ever uses it (see
-    ``_scratch``): ctypes releases the GIL inside each native call, so a
-    scratch shared between threads would need a lock held across
-    ``EC_POINT_mul``. The native objects are freed when the thread's
-    scratch is collected, at the latest when the thread ends.
+    A BN_CTX, the bignums both group calls fill, the two points ``msm2``
+    needs, a 56-byte output buffer and a Montgomery context for P, set up
+    once. Every call overwrites what it reads, so nothing carries from one
+    call to the next. ``ciphers`` holds initialised AES-128-ECB contexts
+    keyed by (subkey, direction), at most ``CIPHER_LIMIT``, the oldest
+    freed first: with padding off, ECB keeps no state between updates, so
+    a block on a held key is one ``EVP_CipherUpdate``. Only the thread
+    that created the scratch ever uses it (see ``_scratch``): ctypes
+    releases the GIL inside each native call, so a scratch shared between
+    threads would need a lock held across ``EC_POINT_mul``. The native
+    objects are freed when the thread's scratch is collected, at the
+    latest when the thread ends; ``EVP_CIPHER_CTX_free`` also wipes a key
+    schedule on eviction.
     """
 
-    __slots__ = ("lib", "ctx", "bns", "points", "mont", "out", "out_hi")
+    __slots__ = ("lib", "ctx", "bns", "points", "mont", "out", "out_hi", "out_len", "out_len_ref", "ciphers")
+
+    CIPHER_LIMIT = 4
 
     def __init__(self, lib, group):
         self.lib = lib
         self.ctx = self.mont = None
         self.bns = self.points = ()
+        self.ciphers = {}
         self.ctx = lib.BN_CTX_new()
         # msm2 fills the first four as m, gamma, x, y; _pow_p the first
         # three as result, base, exponent; the fifth holds P
@@ -351,9 +360,33 @@ class _Scratch:
             raise RuntimeError("BN_MONT_CTX_set failed")
         self.out = ctypes.create_string_buffer(2 * COORD_BYTES)
         self.out_hi = ctypes.addressof(self.out) + COORD_BYTES
+        self.out_len = ctypes.c_int(0)
+        self.out_len_ref = ctypes.byref(self.out_len)
+
+    def cipher(self, key: bytes, encrypt: bool):
+        """The AES-128-ECB context for (key, encrypt), set up if not held."""
+        ctx = self.ciphers.get((key, encrypt))
+        if ctx is not None:
+            return ctx
+        lib = self.lib
+        if len(self.ciphers) >= self.CIPHER_LIMIT:
+            lib.EVP_CIPHER_CTX_free(self.ciphers.pop(next(iter(self.ciphers))))
+        ctx = lib.EVP_CIPHER_CTX_new()
+        if not ctx:
+            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        if not (
+            lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_ecb(), None, key, None, int(encrypt))
+            and lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
+        ):
+            lib.EVP_CIPHER_CTX_free(ctx)
+            raise RuntimeError("libcrypto AES-128-ECB set-up failed")
+        self.ciphers[key, encrypt] = ctx
+        return ctx
 
     def __del__(self):
         lib = self.lib
+        for ctx in self.ciphers.values():
+            lib.EVP_CIPHER_CTX_free(ctx)
         for pt in self.points:
             lib.EC_POINT_free(pt)
         for bn in self.bns:
@@ -461,13 +494,44 @@ def _pow_p_py(n: int, e: int) -> int:
     return pow(n, e, P)
 
 
-LIBCRYPTO = _load_libcrypto()  # the handle; symmetric reuses it
-_LIBCRYPTO = _secp224r1(LIBCRYPTO)
+def _aes_ecb_libcrypto(key: bytes, blocks: bytes, encrypt: bool) -> bytes:
+    """AES-128-ECB over whole 16-byte blocks through libcrypto's EVP
+    interface, on a context held in this thread's ``_Scratch``; the
+    pseudonym cipher of ``symmetric`` when ``BACKEND`` is libcrypto."""
+    s = _scratch()
+    n = len(blocks)
+    out = s.out if n <= _AES_BLOCK else ctypes.create_string_buffer(n + _AES_BLOCK)
+    if not (s.lib.EVP_CipherUpdate(s.cipher(key, encrypt), out, s.out_len_ref, blocks, n) and s.out_len.value == n):
+        raise RuntimeError("libcrypto AES-128-ECB failed")
+    return out.raw[:n]
+
+
+# FIPS-197 appendix C.1: AES-128 key, plaintext and ciphertext
+_AES_KAT = (
+    bytes(range(16)),
+    bytes.fromhex("00112233445566778899aabbccddeeff"),
+    bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a"),
+)
+
+
+def _known_answers_hold() -> bool:
+    """True when the library reproduces the generator, the inverse of 2
+    mod P and the AES-128 known answer in both directions."""
+    key, plain, cipher = _AES_KAT
+    return (
+        _msm2_libcrypto(1, 0, None) == GEN
+        and _pow_p_libcrypto(2, P - 2) == (P + 1) // 2
+        and _aes_ecb_libcrypto(key, plain, True) == cipher
+        and _aes_ecb_libcrypto(key, cipher, False) == plain
+    )
+
+
+_LIBCRYPTO = _load_libcrypto()
 if _LIBCRYPTO is not None:
-    # a library whose secp224r1 or field arithmetic disagrees with the
-    # parameters above is not used; the check leaves no scratch behind
+    # a library that fails any known answer is used for nothing; the
+    # check leaves no scratch and no cipher context behind
     try:
-        if _msm2_libcrypto(1, 0, None) != GEN or _pow_p_libcrypto(2, P - 2) != (P + 1) // 2:
+        if not _known_answers_hold():
             _LIBCRYPTO = None
     finally:
         _release_scratch()
@@ -660,12 +724,6 @@ def check_compressed(data: bytes) -> bytes:
 
 def scalar_to_bytes(s: int) -> bytes:
     return (s % Q).to_bytes(SCALAR_BYTES, "big")
-
-
-def scalar_from_bytes(data: bytes) -> int:
-    if len(data) != SCALAR_BYTES:
-        raise ValueError("scalar must be 28 bytes")
-    return int.from_bytes(data, "big")
 
 
 def rand_scalar(rng) -> int:

@@ -94,7 +94,7 @@ def verify(pk, sig: bytes, msg: bytes) -> bool:
 def aenc(pk, msg: bytes, rng) -> bytes:
     """Seal msg to pk: ephemeral x (28) || y (28) || tag (20) || ciphertext."""
     eph = rand_nonzero_scalar(rng)
-    # vehicle side: on the ladder until ROADMAP item 1 releases it
+    # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
     eph_pub = ladder_mul(GEN, eph)
     shared = ladder_mul(pk, eph)
     ke, km = hybrid_keys(eph_pub, shared)

@@ -24,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto.curve import COORD_BYTES, Q, SCALAR_BYTES, has_even_y, solve_y
+from .crypto.hashes import TAG_LEN
+from .crypto.signatures import SIG_LEN
+from .crypto.symmetric import PID_LEN
 
 REQ_LEN = 104
 REP_LEN = 88
@@ -31,13 +34,10 @@ ACK_LEN = 20
 REG_REPLY_LEN = 132
 UPDATE_LEN = 36
 
-PID_LEN = 16
-TAG_LEN = 20
 S1_LEN = 28
 S2_LEN = 64
 TS_LEN = 4
 TXID_LEN = 32
-SIG_LEN = 56
 TS_MOD = 1 << 32
 
 

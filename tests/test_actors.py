@@ -611,7 +611,7 @@ def test_rotation_drops_sessions_whose_registration_expired():
     symmetric._aes_block is not symmetric._aes_block_libcrypto, reason="the pseudonym AES runs on the fallback"
 )
 def test_evp_cache_stays_bounded_across_group_key_rotations(monkeypatch):
-    lib = curve.LIBCRYPTO
+    lib = curve._LIBCRYPTO[0]
     counts = {"EVP_CIPHER_CTX_new": 0, "EVP_CIPHER_CTX_free": 0}
     for name in counts:
         original = getattr(lib, name)
@@ -625,8 +625,8 @@ def test_evp_cache_stays_bounded_across_group_key_rotations(monkeypatch):
     rsu = rsus[0]
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     actors.run_handover(vn, rsu, now=2000)
-    cache = symmetric._evp_cache()
-    held = len(cache.contexts) - counts["EVP_CIPHER_CTX_new"] + counts["EVP_CIPHER_CTX_free"]
+    scratch = curve._scratch()
+    held = len(scratch.ciphers) - counts["EVP_CIPHER_CTX_new"] + counts["EVP_CIPHER_CTX_free"]
     for i in range(10):
         now = 3000 + 1000 * i
         epoch, updates = actors.rotate_group_key(lea, rsms, [rsu], revoked_chs=[], now=now)
@@ -634,10 +634,10 @@ def test_evp_cache_stays_bounded_across_group_key_rotations(monkeypatch):
         vn.apply_update(update, vn.sessions[rsu.node_id].ks, epoch, now=now)
         actors.run_handover(vn, rsu, now=now + 100)
         key = symmetric.pid_cipher_key(rsu.group_secret.b)
-        assert len(cache.contexts) <= symmetric._EvpCache.LIMIT
-        assert {(key, True), (key, False)} <= set(cache.contexts)
-    # every context created is either freed or still cached
-    assert held + counts["EVP_CIPHER_CTX_new"] - counts["EVP_CIPHER_CTX_free"] == len(cache.contexts)
+        assert len(scratch.ciphers) <= curve._Scratch.CIPHER_LIMIT
+        assert {(key, True), (key, False)} <= set(scratch.ciphers)
+    # every context created is either freed or still held
+    assert held + counts["EVP_CIPHER_CTX_new"] - counts["EVP_CIPHER_CTX_free"] == len(scratch.ciphers)
 
 
 def test_mint_pseudonyms_equals_one_mint_pseudonym_per_pair():

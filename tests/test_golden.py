@@ -78,42 +78,74 @@ def test_canned_transcript_is_byte_identical(name):
     assert hashlib.sha256(transcript.to_text().encode()).hexdigest() == CANNED_TRANSCRIPT_SHA256[name]
 
 
-# Imports the package while ctypes.CDLL("libcrypto.so.3") fails, so every
-# group operation runs on the ladder, the square root's exponent on pow and
-# the pseudonym cipher on the cryptography package; checks that verify
-# refuses an off-curve key there too, then prints one "<name> <sha256>"
-# line per scenario named on the command line.
+# Imports the package under the ctypes.CDLL shim named first on the command
+# line, each a reason to fall back: "refused" fails to open
+# libcrypto.so.3, "no-secp224r1" opens it but gets no group for the curve,
+# "wrong-aes" opens it but gets a wrong AES block from EVP_CipherUpdate.
+# Each must leave every group operation on the ladder, the square root's
+# exponent on pow and the pseudonym cipher on the cryptography package.
+# Checks that verify refuses an off-curve key there too, then prints one
+# "<name> <sha256>" line per scenario named after the shim.
 _FALLBACK_RUN = """
 import ctypes, hashlib, random, sys
 
 _cdll = ctypes.CDLL
+shim = sys.argv[1]
 
-def _cdll_without_libcrypto(name, *args, **kwargs):
-    if name == "libcrypto.so.3":
+def _shimmed_cdll(name, *args, **kwargs):
+    if name == "libcrypto.so.3" and shim == "refused":
         raise OSError(name + ": cannot open shared object file")
-    return _cdll(name, *args, **kwargs)
+    lib = _cdll(name, *args, **kwargs)
+    if name != "libcrypto.so.3":
+        return lib
+    if shim == "no-secp224r1":
+        lib.EC_GROUP_new_by_curve_name = lambda nid: None
+    else:
+        assert shim == "wrong-aes", shim
+        update = lib.EVP_CipherUpdate
+        update.restype = ctypes.c_int
+        update.argtypes = (
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, ctypes.c_int
+        )
 
-ctypes.CDLL = _cdll_without_libcrypto
-from v2xauth.crypto import curve, signatures
+        def wrong_block(ctx, out, out_len, data, n):
+            ok = update(ctx, out, out_len, data, n)
+            out[0] = bytes([out.raw[0] ^ 1])
+            return ok
+
+        lib.EVP_CipherUpdate = wrong_block
+    return lib
+
+ctypes.CDLL = _shimmed_cdll
+from v2xauth.crypto import curve, signatures, symmetric
 from v2xauth.simnet import scenarios
 
-assert (curve.LIBCRYPTO, curve.BACKEND) == (None, "pure-python"), curve.BACKEND
+assert (curve._LIBCRYPTO, curve.BACKEND) == (None, "pure-python"), curve.BACKEND
+assert symmetric._aes_block is symmetric._aes_block_cryptography
 pk = curve.ladder_mul(curve.GEN, 7)
 sig = signatures.sign(7, b"msg", random.Random(1))
 assert signatures.verify(pk, sig, b"msg")
 assert signatures.verify((pk[0], (pk[1] + 1) % curve.P), sig, b"msg") is False
-for name in sys.argv[1:]:
+for name in sys.argv[2:]:
     text = scenarios.run_scenario(scenarios.canned_scenarios()[name]).to_text()
     print(name, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
-def test_canned_transcripts_are_byte_identical_without_libcrypto():
-    names = ["honest", "revocation", "trace-audit"]
+def _run_fallback(shim, names):
     src = Path(scenarios.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", _FALLBACK_RUN, *names], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", _FALLBACK_RUN, shim, *names], env=env, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [f"{name} {CANNED_TRANSCRIPT_SHA256[name]}" for name in names]
+
+
+def test_canned_transcripts_are_byte_identical_without_libcrypto():
+    _run_fallback("refused", ["honest", "revocation", "trace-audit"])
+
+
+@pytest.mark.parametrize("shim", ["no-secp224r1", "wrong-aes"])
+def test_honest_transcript_is_byte_identical_when_libcrypto_fails_a_check(shim):
+    _run_fallback(shim, ["honest"])

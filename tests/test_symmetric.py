@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib.util
 import os
@@ -139,14 +140,15 @@ def _fresh_symmetric(monkeypatch):
 
 
 def test_pid_cipher_uses_libcrypto_when_loaded():
-    if curve.LIBCRYPTO is None:
-        assert symmetric._aes_block is symmetric._aes_block_cryptography
-    else:
+    # one backend decision: the curve's
+    if curve.BACKEND == "libcrypto":
         assert symmetric._aes_block is symmetric._aes_block_libcrypto
+    else:
+        assert symmetric._aes_block is symmetric._aes_block_cryptography
 
 
 def test_pid_cipher_falls_back_to_cryptography_without_libcrypto(monkeypatch):
-    monkeypatch.setattr(curve, "LIBCRYPTO", None)
+    monkeypatch.setattr(curve, "BACKEND", "pure-python")
     isolated = _fresh_symmetric(monkeypatch)
     assert isolated._aes_block is isolated._aes_block_cryptography
     rng = random.Random(0x56)
@@ -158,7 +160,7 @@ def test_pid_cipher_falls_back_to_cryptography_without_libcrypto(monkeypatch):
         assert isolated.pid_decrypt(b, pid) == pd
 
 
-@pytest.mark.skipif(curve.LIBCRYPTO is None, reason="libcrypto.so.3 did not load")
+@pytest.mark.skipif(curve.BACKEND != "libcrypto", reason="libcrypto.so.3 is not used")
 def test_import_with_libcrypto_leaves_cryptography_unloaded():
     code = "import sys, v2xauth.actors; print('cryptography' in sys.modules)"
     env = dict(os.environ)
@@ -170,7 +172,7 @@ def test_import_with_libcrypto_leaves_cryptography_unloaded():
 def _both_backends(monkeypatch):
     """This module on its loaded backend, and a fresh copy on the fallback."""
     native = symmetric
-    monkeypatch.setattr(curve, "LIBCRYPTO", None)
+    monkeypatch.setattr(curve, "BACKEND", "pure-python")
     fallback = _fresh_symmetric(monkeypatch)
     assert fallback._aes_block is fallback._aes_block_cryptography
     return native, fallback
@@ -233,7 +235,7 @@ def test_pid_cipher_concurrent_calls_match_cryptography():
                         symmetric.pid_encrypt(b, blocks),
                     )
                 )
-            assert len(symmetric._evp_cache().contexts) <= symmetric._EvpCache.LIMIT
+            assert len(curve._scratch().ciphers) <= curve._Scratch.CIPHER_LIMIT
         results[tid] = got
 
     old_interval = sys.getswitchinterval()
@@ -253,13 +255,12 @@ def test_pid_cipher_concurrent_calls_match_cryptography():
 
 
 def _live_scratch():
-    return sum(type(o) in (curve._Scratch, symmetric._EvpCache) for o in gc.get_objects())
+    return sum(type(o) is curve._Scratch for o in gc.get_objects())
 
 
 @needs_libcrypto_aes
-@pytest.mark.skipif(curve._LIBCRYPTO is None, reason="libcrypto.so.3 with secp224r1 did not load")
 def test_short_lived_threads_free_their_native_scratch(monkeypatch):
-    lib = curve.LIBCRYPTO
+    lib = curve._LIBCRYPTO[0]
     freed = {"BN_CTX_free": 0, "EVP_CIPHER_CTX_free": 0}
     for name in freed:
         original = getattr(lib, name)
@@ -297,18 +298,36 @@ def test_short_lived_threads_free_their_native_scratch(monkeypatch):
 
 @needs_libcrypto_aes
 def test_import_self_check_leaves_no_cipher_context_cached(monkeypatch):
-    fresh = _fresh_symmetric(monkeypatch)
-    assert fresh._aes_block is fresh._aes_block_libcrypto
-    assert "evp" not in vars(fresh._TLS)
+    # a fresh copy of curve runs its self-check on this process's handle,
+    # whose allocators count
+    lib = curve._LIBCRYPTO[0]
+    counts = dict.fromkeys(("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free", "BN_CTX_new", "BN_CTX_free"), 0)
+    for name in counts:
+        original = getattr(lib, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lib, name, counting)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: lib)
+    spec = importlib.util.spec_from_file_location("_curve_self_check_copy", curve.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh.BACKEND == "libcrypto"
+    assert "scratch" not in vars(fresh._TLS)
+    # the known answer set up one context per direction and freed both
+    assert counts == {"EVP_CIPHER_CTX_new": 2, "EVP_CIPHER_CTX_free": 2, "BN_CTX_new": 1, "BN_CTX_free": 1}
+    assert _fresh_symmetric(monkeypatch)._aes_block is curve._aes_ecb_libcrypto
 
 
 @needs_libcrypto_aes
 def test_evp_cache_frees_the_oldest_context_first():
-    cache = symmetric._EvpCache(curve.LIBCRYPTO)
+    scratch = curve._Scratch(*curve._LIBCRYPTO)
     keys = [bytes([i]) * 16 for i in range(6)]
     for key in keys:
-        cache.context(key, True)
-    assert list(cache.contexts) == [(key, True) for key in keys[-4:]]
-    hit = cache.contexts[keys[-1], True]
-    assert cache.context(keys[-1], True) == hit
-    assert len(cache.contexts) == symmetric._EvpCache.LIMIT
+        scratch.cipher(key, True)
+    assert list(scratch.ciphers) == [(key, True) for key in keys[-4:]]
+    hit = scratch.ciphers[keys[-1], True]
+    assert scratch.cipher(keys[-1], True) == hit
+    assert len(scratch.ciphers) == curve._Scratch.CIPHER_LIMIT
