@@ -45,6 +45,7 @@ from .wire import (
     AuthReply,
     RegistrationReply,
     RegistrationRequest,
+    S1_LEN,
     UpdateMsg,
     WireError,
     request_replay_key,
@@ -55,6 +56,9 @@ from .wire import (
 FRESHNESS_WINDOW_MS = 500
 REGISTRATION_LIFETIME_MS = 30 * 24 * 3600 * 1000  # 30 days of harness time
 POOL_TARGET = 8
+# S1 encrypts the vehicle's nonce beta with A's 12-byte root hint, so beta
+# is 16 bytes: 128 bits, above P-224's 112-bit security level
+BETA_BYTES = S1_LEN - curve.HINT_BYTES
 
 
 class ProtocolError(Exception):
@@ -144,7 +148,7 @@ class ChameleonCredential:
     t_exp: int
     pid: bytes
     d: bytes
-    pool: list = field(default_factory=list)  # (alpha, A) with even-y A
+    pool: list = field(default_factory=list)  # (alpha, A, A's root hint) with even-y A
 
 
 @dataclass
@@ -219,6 +223,15 @@ def _upd_context(epoch: int) -> bytes:
     return b"UPD" + epoch.to_bytes(4, "big")
 
 
+def _draw_beta(rng) -> int:
+    """The vehicle's nonzero 128-bit nonce; h2 and h3 take it as a scalar
+    field, zero-padded to 28 bytes."""
+    while True:
+        beta = int.from_bytes(rng.randbytes(BETA_BYTES), "big")
+        if beta:
+            return beta
+
+
 def _recover_pseudonym_key(gs: GroupSecret, pid: bytes) -> "tuple[bytes, bytes]":
     """(pd, D) behind a pseudonym: pID decrypt under b, then h1."""
     pd = symmetric.pid_decrypt(gs.b, pid)
@@ -228,13 +241,19 @@ def _recover_pseudonym_key(gs: GroupSecret, pid: bytes) -> "tuple[bytes, bytes]"
 def _recover_commitment(req: AuthRequest, d: bytes, rsu_pk) -> "tuple[int, tuple[int, int] | None]":
     """(beta, CH) that a request authenticates under pseudonym key D.
 
-    S1 decrypts to beta, h2 gives gamma, and CH = m*P + gamma*A; CH is
-    None when the request resolves to the identity. Each verifier turns
-    the result into its own verdict.
+    S1 decrypts to beta and A's root hint; the hint and x(A) give A, h2
+    gives gamma, and CH = m*P + gamma*A. CH is None when x(A) and the
+    hint name no point, which a wrong D makes all but certain, so such a
+    request costs neither h2 nor ``msm2``; and when the request resolves
+    to the identity. Each verifier turns the result into its own verdict.
     """
-    beta = int.from_bytes(symmetric.sym_decrypt(d, req.s1, _s1_context(req.t1)), "big")
-    gamma = hashes.h2(req.pid, beta, req.a_point, req.s1, d, rsu_pk, req.t1)
-    return beta, curve.msm2(req.m, gamma, req.a_point)
+    plain = symmetric.sym_decrypt(d, req.s1, _s1_context(req.t1))
+    beta = int.from_bytes(plain[:BETA_BYTES], "big")
+    a_pt = curve.point_from_hint(req.a_x, plain[BETA_BYTES:])
+    if a_pt is None:
+        return beta, None
+    gamma = hashes.h2(req.pid, beta, a_pt, req.s1, d, rsu_pk, req.t1)
+    return beta, curve.msm2(req.m, gamma, a_pt)
 
 
 class Authority:
@@ -288,7 +307,7 @@ class Authority:
         _, d_star = _recover_pseudonym_key(self.group_secret, req.pid)
         _, ch = _recover_commitment(req, d_star, rsu_pk)
         if ch is None:
-            raise UnknownCH("request resolves to the identity point")
+            raise UnknownCH("request names no point A, or resolves to the identity point")
         self.view.sync_to(now)
         tx = self.view.find_by_ch(curve.point_compress(ch))
         if tx is None:
@@ -394,7 +413,7 @@ class RoadsideUnit:
 
     def handle_request(self, req_bytes: bytes, now: int) -> "tuple[AuthReply, SessionContext]":
         # freshness and replay need only pID and T1, so the bytes are
-        # checked for both before the decode pays for a square root
+        # checked for both before any decryption or group arithmetic
         pid, t1 = request_replay_key(req_bytes)
         if abs(ts_delta(now, t1)) > self.freshness_ms:
             raise StaleTimestamp("request timestamp outside the freshness window")
@@ -403,7 +422,7 @@ class RoadsideUnit:
         pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
         beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
         if ch_candidate is None:
-            raise UnknownCredential("request resolves to the identity point")
+            raise UnknownCredential("request names no point A, or resolves to the identity point")
         ch_key = curve.point_compress(ch_candidate)
         self.view.sync_to(now)
         tx = self.view.find_by_ch(ch_key)
@@ -543,15 +562,17 @@ class Vehicle:
     # -- handover ---------------------------------------------------------
 
     def _draw_blinded_point(self):
-        """(alpha, A = alpha*Y) with A in canonical even-y form, which comes
-        for free: negating alpha flips the point's y parity."""
+        """(alpha, A = alpha*Y, A's root hint) with A in canonical even-y
+        form, which comes for free: negating alpha flips the point's y
+        parity. The hint is the discrete log the roadside unit would
+        otherwise take to recover A from its x."""
         alpha = curve.rand_nonzero_scalar(self.rng)
         # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
         a_pt = curve.ladder_mul(self.credential.y_point, alpha)
         if not curve.has_even_y(a_pt):
             alpha = Q - alpha
             a_pt = curve.point_neg(a_pt)
-        return alpha, a_pt
+        return alpha, a_pt, curve.root_hint(a_pt[0])
 
     def refill_pool(self, target: int = POOL_TARGET) -> None:
         """Precompute blinded points off the critical path."""
@@ -573,13 +594,13 @@ class Vehicle:
             raise ProtocolError("not registered")
         if cred.t_exp <= now:
             raise ExpiredWindow("credential expired; re-register")
-        alpha, a_pt = self._take_blinded_point()
-        beta = curve.rand_nonzero_scalar(self.rng)
+        alpha, a_pt, hint = self._take_blinded_point()
+        beta = _draw_beta(self.rng)
         t1 = now
-        s1 = symmetric.sym_encrypt(cred.d, curve.scalar_to_bytes(beta), _s1_context(t1))
+        s1 = symmetric.sym_encrypt(cred.d, beta.to_bytes(BETA_BYTES, "big") + hint, _s1_context(t1))
         gamma = hashes.h2(cred.pid, beta, a_pt, s1, cred.d, rsu_pk, t1)
         m = chameleon.ch_collide(cred.trapdoor, alpha * gamma % Q)
-        request = AuthRequest(pid=cred.pid, m=m, a_point=a_pt, s1=s1, t1=t1)
+        request = AuthRequest(pid=cred.pid, m=m, a_x=a_pt[0], s1=s1, t1=t1)
         ctx = SessionContext(t1=t1, beta_own=beta, req_bytes=request.encode())
         return request, ctx
 

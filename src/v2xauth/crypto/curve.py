@@ -29,8 +29,9 @@ algorithm:
 An off-curve point is refused the same way on both backends: a point
 that ``is_on_curve`` refuses raises ValueError wherever a nonzero
 scalar (mod q) multiplies it, and gives the identity where the scalar
-is 0 mod q. No production caller passes one: wire decoding takes its
-points from ``solve_y``, ``signatures.adec`` refuses a sealed blob whose
+is 0 mod q. No production caller passes one: the verifier takes a
+request's point from ``point_from_hint``, ``signatures.adec`` refuses a
+sealed blob whose
 ephemeral x || y fails ``is_on_curve`` before it multiplies, and
 ``signatures.verify`` returns False for an off-curve public key.
 
@@ -91,21 +92,26 @@ exponentiation, the Montgomery set-up included, and a one-block AES
 call took 12 us with a context of its own against 4-6 us on a held one.
 The self-check leaves no scratch behind.
 
-Decoding a 28-byte x-only point needs a field square root (``solve_y``).
-P - 1 = 2^96 * (2^128 - 1), the worst case for Tonelli-Shanks, so
-``sqrt_mod_p`` instead takes a table-driven discrete log in the 2^96
-subgroup: 12 tables of 256 powers plus one 256-entry dict, built at
-import in a few ms and holding about 0.2 MB. A root costs 0.13-0.17 ms
-on the same host with the native exponent (0.23 ms with ``pow``), where
-Tonelli-Shanks took 2.1-2.3 ms.
+Recovering a point from its 28-byte x alone needs a field square root
+(``solve_y``). P - 1 = 2^96 * (2^128 - 1), the worst case for
+Tonelli-Shanks, so ``sqrt_mod_p`` instead takes a table-driven discrete
+log in the 2^96 subgroup: 12 tables of 256 powers plus one 256-entry
+dict, built at import in a few ms and holding about 0.2 MB. A root
+costs 0.13-0.17 ms on the same host with the native exponent (0.23 ms
+with ``pow``), where Tonelli-Shanks took 2.1-2.3 ms.
 
-Only a caller that needs y pays for a root: the roadside unit's request
-decode (A, for ``msm2``) and ``point_decompress`` (``Registration.ch``
-on its first read). ``signatures.adec`` takes none: a sealed blob
-carries its ephemeral point as x || y, which ``is_on_curve`` validates.
-A caller that only compares, hashes or stores a 29-byte compressed
-point needs to know that it names one: the authority's check of a
-sealed commitment and ``ledger.snapshot_load`` call
+The discrete log is the costly part, and its result, e/2 < 2^95, is a
+public function of x that fits in 12 bytes. So a holder of the point
+computes it once (``root_hint``), and a verifier given x and that hint
+recovers the point with one exponentiation and a square check
+(``point_from_hint``), which refuses any other hint. The vehicle sends
+each blinded point's hint inside S1, so a handover costs the roadside
+unit no root. Only ``point_decompress`` (``Registration.ch`` on its
+first read) still takes one. ``signatures.adec`` takes none either: a
+sealed blob carries its ephemeral point as x || y, which ``is_on_curve``
+validates. A caller that only compares, hashes or stores a 29-byte
+compressed point needs to know that it names one: the authority's check
+of a sealed commitment and ``ledger.snapshot_load`` call
 ``check_compressed``, one exponentiation (Euler's criterion). So a
 registration costs the authority no root.
 """
@@ -557,6 +563,7 @@ _ODD_PART = (P - 1) >> _TWO_ADICITY
 _DIGIT_BITS = 8
 _DIGITS = _TWO_ADICITY // _DIGIT_BITS
 _SQRT_EXP = (_ODD_PART - 1) // 2  # n^_SQRT_EXP gives both x and u below
+HINT_BYTES = _DIGITS  # e/2 < 2^95, as 12 base-256 digits
 
 
 def _sqrt_tables():
@@ -579,41 +586,31 @@ def _sqrt_tables():
 _SQRT_NEG, _SQRT_DLOG = _sqrt_tables()
 
 
-def sqrt_mod_p(n: int):
-    """Square root mod P, or None when n is a non-residue; 0 for n = 0.
+def _sqrt_digits(n: int):
+    """``(x, half)`` for a residue n in [1, P), or None for a non-residue:
+    x = n^((t+1)/2) is the root candidate and half = e/2 < 2^95, where
+    n^t = g^e, so that x * g^(-half) is a square root of n.
 
-    P - 1 has 2-adic valuation 96, the worst case for Tonelli-Shanks,
-    so the root comes from a table-driven discrete log in the 2^96
-    subgroup (Bernstein, "Faster square roots in annoying finite
+    This is the discrete log in the 2^96 subgroup, the costly part of
+    ``sqrt_mod_p`` (Bernstein, "Faster square roots in annoying finite
     fields", 2001; Sarkar, ePrint 2020/1407). With g = 11^t:
 
-    * one exponentiation gives x = n^((t+1)/2) and u = n^t = g^e;
+    * one exponentiation gives x and u = n^t = g^e;
     * the chain u^(2^(8i)), i = 0..11, costs 88 squarings in all;
     * e is recovered 8 bits at a time, lowest digit first, from 12
       tables of 256 powers g^(-k * 2^(8j)) and one 256-entry dict of
       g^(k * 2^88) -> k, built at import (about 3,300 multiplications,
       a few ms, about 0.2 MB);
     * an odd lowest digit means n is a non-residue, since then
-      n^((P-1)/2) = g^(e * 2^95) = -1; otherwise x * g^(-e/2) squares
-      to n * u * g^(-e) = n.
+      n^((P-1)/2) = g^(e * 2^95) = -1; otherwise e is even and
+      x * g^(-e/2) squares to n * u * g^(-e) = n.
 
     The exponentiation runs on libcrypto's ``BN_mod_exp_mont`` when the
     library loaded (``_pow_p``). The 88 squarings and the digit loop stay
     in Python: running the chain through ``BN_mod_exp`` as well was
     measured at 83-109 us against about 82 us, the marshalling eating
     the gain.
-
-    Measured as thread CPU time on a shared 2-core x86-64 host (Python
-    3.11): the exponentiation takes about 24 us on the thread's scratch,
-    ctypes marshalling included, against 90-103 us with ``pow``; a root
-    of a residue 0.13-0.17 ms (0.23 ms with ``pow``, 2.1-2.3 ms with
-    Tonelli-Shanks); a non-residue 0.08 ms (0.16 ms with ``pow``). The
-    run time depends on n; that is acceptable because every input is a
-    public wire value (an abscissa or a compressed point).
     """
-    n %= P
-    if n == 0:
-        return 0
     x = _pow_p(n, _SQRT_EXP)
     u = x * x % P * n % P
     x = x * n % P
@@ -632,11 +629,41 @@ def sqrt_mod_p(n: int):
         if not digits and d & 1:
             return None
         digits.append(d)
-    # 8-bit digits are bytes: e is even, so e/2 < 2^95 fits in 12 bytes
-    half = int.from_bytes(bytes(digits), "little") >> 1
-    for j, d in enumerate(half.to_bytes(_DIGITS, "little")):
+    # 8-bit digits are bytes, lowest first
+    return x, int.from_bytes(bytes(digits), "little") >> 1
+
+
+def _times_neg_powers(x: int, hint: bytes) -> int:
+    """x * g^(-h) for the 12 base-256 digits of h, lowest first."""
+    neg = _SQRT_NEG
+    for j, d in enumerate(hint):
         x = x * neg[j][d] % P
     return x
+
+
+def sqrt_mod_p(n: int):
+    """Square root mod P, or None when n is a non-residue; 0 for n = 0.
+
+    P - 1 has 2-adic valuation 96, the worst case for Tonelli-Shanks,
+    so the root comes from a table-driven discrete log in the 2^96
+    subgroup (``_sqrt_digits``): x * g^(-e/2).
+
+    Measured as thread CPU time on a shared 2-core x86-64 host (Python
+    3.11): the exponentiation takes about 24 us on the thread's scratch,
+    ctypes marshalling included, against 90-103 us with ``pow``; a root
+    of a residue 0.13-0.17 ms (0.23 ms with ``pow``, 2.1-2.3 ms with
+    Tonelli-Shanks); a non-residue 0.08 ms (0.16 ms with ``pow``). The
+    run time depends on n; that is acceptable because every input is a
+    public value (an abscissa or a compressed point).
+    """
+    n %= P
+    if n == 0:
+        return 0
+    parts = _sqrt_digits(n)
+    if parts is None:
+        return None
+    x, half = parts
+    return _times_neg_powers(x, half.to_bytes(HINT_BYTES, "little"))
 
 
 def solve_y(x: int):
@@ -649,6 +676,49 @@ def solve_y(x: int):
         return None
     y = sqrt_mod_p((x * x * x + A * x + B) % P)
     if y is None:
+        return None
+    if y & 1:
+        y = P - y
+    return (x, y)
+
+
+def root_hint(x: int) -> bytes:
+    """The 12-byte root hint of the point with abscissa x: the base-256
+    digits of e/2 < 2^95, lowest first, from ``_sqrt_digits`` of
+    x^3 + ax + b. ``point_from_hint(x, root_hint(x))`` equals
+    ``solve_y(x)`` without the discrete log.
+
+    The hint is a public function of x. Its cost is a square root's
+    minus 12 multiplications; the vehicle pays it once per blinded
+    point, when it refills its pool. Raises ValueError when x names no
+    point.
+    """
+    parts = _sqrt_digits((x * x * x + A * x + B) % P) if 0 <= x < P else None
+    if parts is None:
+        raise ValueError("x is not the abscissa of a curve point")
+    return parts[1].to_bytes(HINT_BYTES, "little")
+
+
+def point_from_hint(x: int, hint: bytes):
+    """Even-y point with abscissa x, recovered with its 12-byte root hint
+    and no discrete log, or None.
+
+    y = n^((t+1)/2) * g^(-h) with n = x^3 + ax + b and h the hint, kept
+    only when y^2 = n: one exponentiation (``_pow_p``), 12 table
+    multiplications and one squaring. That check admits exactly one h
+    in [0, 2^95) for an x on the curve (two roots differ by g^(2^95) =
+    -1, so their h differ by 2^95) and none for an x off it. None for x
+    outside [0, P), for a hint of 2^95 or more (one encoding per point)
+    and for a failed check; n is never 0 on P-224, whose group order is
+    prime. ValueError for a hint that is not 12 bytes.
+    """
+    if len(hint) != HINT_BYTES:
+        raise ValueError(f"root hint must be {HINT_BYTES} bytes")
+    if not 0 <= x < P or hint[-1] >> 7:
+        return None
+    n = (x * x * x + A * x + B) % P
+    y = _times_neg_powers(_pow_p(n, _SQRT_EXP) * n % P, hint)
+    if y * y % P != n:
         return None
     if y & 1:
         y = P - y

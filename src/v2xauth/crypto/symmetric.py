@@ -2,12 +2,12 @@
 block permutation.
 
 The protocol's size accounting needs ciphertext length == plaintext
-length (a 28-byte nonce must encrypt to a 28-byte field), and every
-symmetric key here (D, M, Ks) is used at most once per exchange with a
-distinct context label, so a keystream construction with no nonce or
-padding is the right fit. Integrity is not this layer's job: the
-exchange authenticates via its hash checks, and tampered ciphertext
-surfaces as a failed verification upstream.
+length (S1's 16-byte nonce and 12-byte root hint must encrypt to a
+28-byte field), and every symmetric key here (D, M, Ks) is used at most
+once per exchange with a distinct context label, so a keystream
+construction with no nonce or padding is the right fit. Integrity is not
+this layer's job: the exchange authenticates via its hash checks, and
+tampered ciphertext surfaces as a failed verification upstream.
 
 Pseudo-identities are a single AES-128 block under a subkey derived
 from the group secret component b, giving a 16-byte bijection so that

@@ -5,11 +5,15 @@ normative: request 104, reply 88, acknowledgement 20, total 212. Field
 order on the wire follows the order the messages are written in the
 exchange; all integers are big-endian.
 
-Curve points on the wire are 28 bytes: the x-coordinate alone, with the
-convention that the encoded point is the even-y representative. Senders
-guarantee canonical form by construction (the blinding exponent is
-negated when the blinded point lands on odd y), so no sign byte is
-spent. An x outside [0, P) is rejected, so no point has two encodings.
+A request carries its blinded point A as the 28-byte x-coordinate
+alone, with the convention that A is the even-y point with that x.
+Senders guarantee canonical form by construction (the blinding exponent
+is negated when the blinded point lands on odd y), so no sign byte is
+spent. The decoder checks only that x is a field element, below P, so no
+point has two encodings; it takes no square root. Whether x names a
+point is settled by the verifier after it decrypts S1, which carries A's
+12-byte root hint beside the vehicle's 16-byte nonce
+(``curve.point_from_hint``).
 A registration request's sealed blob is opaque here; its ephemeral
 point travels as x || y (``signatures.aenc``).
 Timestamps are 4-byte milliseconds modulo 2^32 of harness time;
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto.curve import COORD_BYTES, Q, SCALAR_BYTES, has_even_y, solve_y
+from .crypto.curve import COORD_BYTES, P, Q, SCALAR_BYTES
 from .crypto.hashes import TAG_LEN
 from .crypto.signatures import SIG_LEN
 from .crypto.symmetric import PID_LEN
@@ -57,24 +61,6 @@ class NonCanonicalScalar(WireError):
     pass
 
 
-def canonicalize_point(pt) -> bytes:
-    """28-byte x of an even-y point. Odd-y input is a caller bug."""
-    if pt is None:
-        raise ValueError("cannot canonicalize the identity point")
-    if not has_even_y(pt):
-        raise ValueError("point is not in canonical even-y form")
-    return pt[0].to_bytes(COORD_BYTES, "big")
-
-
-def decanonicalize(data: bytes):
-    if len(data) != COORD_BYTES:
-        raise WrongLength(f"point field must be {COORD_BYTES} bytes")
-    pt = solve_y(int.from_bytes(data, "big"))
-    if pt is None:
-        raise OffCurvePoint("x-coordinate has no curve solution")
-    return pt
-
-
 def ts_wrap(t: int) -> int:
     return t % TS_MOD
 
@@ -95,7 +81,7 @@ def request_replay_key(data: bytes) -> "tuple[bytes, int]":
     """(pID, T1) of a request buffer, read without decoding the point.
 
     Only the length is checked, so a verifier can reject stale and
-    replayed requests before it pays for the square root.
+    replayed requests before any decryption or group arithmetic.
     """
     if len(data) != REQ_LEN:
         raise WrongLength(f"request must be {REQ_LEN} bytes, got {len(data)}")
@@ -104,21 +90,24 @@ def request_replay_key(data: bytes) -> "tuple[bytes, int]":
 
 @dataclass(frozen=True)
 class AuthRequest:
-    """Handover request: (pID, m, A, S1, T1), 104 bytes."""
+    """Handover request: (pID, m, x(A), S1, T1), 104 bytes.
+
+    ``a_x`` is the abscissa of the even-y blinded point A; S1 encrypts the
+    vehicle's nonce and A's root hint under D."""
 
     pid: bytes
     m: int
-    a_point: "tuple[int, int]"
+    a_x: int
     s1: bytes
     t1: int
 
     def encode(self) -> bytes:
-        if len(self.pid) != PID_LEN or len(self.s1) != S1_LEN:
+        if len(self.pid) != PID_LEN or len(self.s1) != S1_LEN or not 0 <= self.a_x < P:
             raise ValueError("request field width violation")
         return (
             self.pid
             + (self.m % Q).to_bytes(SCALAR_BYTES, "big")
-            + canonicalize_point(self.a_point)
+            + self.a_x.to_bytes(COORD_BYTES, "big")
             + self.s1
             + ts_wrap(self.t1).to_bytes(TS_LEN, "big")
         )
@@ -129,10 +118,12 @@ class AuthRequest:
             raise WrongLength(f"request must be {REQ_LEN} bytes, got {len(data)}")
         pid = data[:16]
         m = _decode_scalar(data[16:44])
-        a_point = decanonicalize(data[44:72])
+        a_x = int.from_bytes(data[44:72], "big")
+        if a_x >= P:
+            raise OffCurvePoint("x-coordinate is not a field element")
         s1 = data[72:100]
         t1 = int.from_bytes(data[100:104], "big")
-        return cls(pid=pid, m=m, a_point=a_point, s1=s1, t1=t1)
+        return cls(pid=pid, m=m, a_x=a_x, s1=s1, t1=t1)
 
 
 @dataclass(frozen=True)

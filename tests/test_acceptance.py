@@ -193,7 +193,7 @@ def _forged_requests(trials):
         yield actors.AuthRequest(
             pid=rng.randbytes(16),
             m=rng.randrange(curve.Q),
-            a_point=points[i % 64],
+            a_x=points[i % 64][0],
             s1=rng.randbytes(28),
             t1=2000 + i,
         ).encode()

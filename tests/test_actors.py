@@ -6,7 +6,7 @@ import pytest
 from chameleon_fixture import ch_keygen
 
 from v2xauth import actors, wire
-from v2xauth.crypto import chameleon, curve, signatures, symmetric
+from v2xauth.crypto import chameleon, curve, hashes, signatures, symmetric
 from v2xauth.ledger import DuplicateRegistration, Ledger, RevokedRegistration
 
 
@@ -105,12 +105,25 @@ def test_request_satisfies_commitment_equation():
     request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
     gs = rsus[0].group_secret
     pd = symmetric.pid_decrypt(gs.b, request.pid)
-    from v2xauth.crypto import hashes
-
     d = hashes.h1(pd, gs.gk, gs.b, request.pid)
-    beta = int.from_bytes(symmetric.sym_decrypt(d, request.s1, actors._s1_context(request.t1)), "big")
-    gamma = hashes.h2(request.pid, beta, request.a_point, request.s1, d, rsus[0].sign_pk, request.t1)
-    assert curve.msm2(request.m, gamma, request.a_point) == vn.credential.commitment
+    plain = symmetric.sym_decrypt(d, request.s1, actors._s1_context(request.t1))
+    beta = int.from_bytes(plain[: actors.BETA_BYTES], "big")
+    a_pt = curve.point_from_hint(request.a_x, plain[actors.BETA_BYTES :])
+    assert a_pt == curve.solve_y(request.a_x)
+    gamma = hashes.h2(request.pid, beta, a_pt, request.s1, d, rsus[0].sign_pk, request.t1)
+    assert curve.msm2(request.m, gamma, a_pt) == vn.credential.commitment
+
+
+def test_pool_points_are_even_y_and_recovered_from_their_hint():
+    # A travels as x alone, so the vehicle keeps it in even-y form, and
+    # the hint it stores beside it gives the verifier that point
+    chain, lea, rsms, rsus, vn = make_domain(0xA4 + 0x100)
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    vn.refill_pool(target=2 * actors.POOL_TARGET)
+    assert len(vn.credential.pool) == 2 * actors.POOL_TARGET
+    for alpha, a_pt, hint in vn.credential.pool:
+        assert a_pt == curve.scalar_mul(vn.credential.y_point, alpha) and curve.has_even_y(a_pt)
+        assert curve.point_from_hint(a_pt[0], hint) == a_pt
 
 
 def test_consecutive_handovers_share_no_wire_field():
@@ -122,7 +135,7 @@ def test_consecutive_handovers_share_no_wire_field():
     req2, _ = vn.start_handover(rsus[0].sign_pk, now=2500)
     assert req1.pid != req2.pid
     assert req1.m != req2.m
-    assert req1.a_point != req2.a_point
+    assert req1.a_x != req2.a_x
     assert req1.s1 != req2.s1
     assert req1.t1 != req2.t1
 
@@ -142,7 +155,7 @@ def test_no_linkable_value_across_hundred_handovers():
         if prev is not None:
             assert req.pid != prev.pid
             assert req.m != prev.m
-            assert req.a_point != prev.a_point
+            assert req.a_x != prev.a_x
             assert req.s1 != prev.s1
             assert req.t1 != prev.t1
         prev = req
@@ -196,7 +209,8 @@ def test_stale_and_replayed_bytes_rejected_before_the_point_decode():
         rsu.handle_request(junk, now=late)
     with pytest.raises(wire.WrongLength):
         rsu.handle_request(junk[:-1], now=late)
-    with pytest.raises(wire.OffCurvePoint):
+    # fresh, with an x < P off the curve: S1's hint names no point for it
+    with pytest.raises(actors.UnknownCredential):
         rsu.handle_request(junk, now=2000)
     _, ctx = rsu.handle_request(raw, now=2000)
     assert ctx.req_bytes == raw
@@ -307,20 +321,26 @@ def test_malformed_sealed_registration_is_a_typed_rejection_without_side_effects
     assert chain.get(txid).payload.ch == curve.point_decompress(ch_bytes)
 
 
-def _count_ladder_calls(monkeypatch):
-    """A list that gets one entry per ``curve.ladder_mul`` call, wherever
-    a v2xauth module bound the function."""
+def _count_calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of ``owner.name``, wherever a
+    v2xauth module bound the function (``owner`` included)."""
     calls = []
-    ladder = curve.ladder_mul
+    original = getattr(owner, name)
 
-    def counted(pt, s):
-        calls.append(pt)
-        return ladder(pt, s)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("v2xauth") and getattr(module, "ladder_mul", None) is ladder:
-            monkeypatch.setattr(module, "ladder_mul", counted)
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("v2xauth") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_ladder_calls(monkeypatch):
+    """A list that gets one entry per ``curve.ladder_mul`` call."""
+    return _count_calls(monkeypatch, curve, "ladder_mul")
 
 
 @pytest.mark.skipif(curve._LIBCRYPTO is None, reason="without libcrypto every scalar_mul is the ladder")
@@ -353,46 +373,74 @@ def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
 
 
 def _count_sqrt_calls(monkeypatch):
-    """A list that gets one entry per field square root: every point
-    decode reaches ``curve.sqrt_mod_p`` through ``solve_y``."""
-    calls = []
-    root = curve.sqrt_mod_p
+    """``(counts, ec_calls)``. ``counts`` holds lists that get one entry per
+    call: ``roots`` per field square root (``sqrt_mod_p``, which
+    ``solve_y`` and ``point_decompress`` reach), ``hints`` per
+    ``root_hint``, and ``dlogs`` per discrete log in the 2^96 subgroup
+    (``_sqrt_digits``, which both of those run and nothing else).
+    ``ec_calls()`` is the number of group operations so far
+    (``ladder_mul``, ``scalar_mul``, ``msm2`` and ``point_from_hint``)."""
+    counts = {
+        "roots": _count_calls(monkeypatch, curve, "sqrt_mod_p"),
+        "hints": _count_calls(monkeypatch, curve, "root_hint"),
+        "dlogs": _count_calls(monkeypatch, curve, "_sqrt_digits"),
+    }
+    ec = [_count_calls(monkeypatch, curve, name) for name in ("ladder_mul", "scalar_mul", "msm2", "point_from_hint")]
+    return counts, lambda: sum(map(len, ec))
 
-    def counted(n):
-        calls.append(n)
-        return root(n)
 
-    monkeypatch.setattr(curve, "sqrt_mod_p", counted)
-    return calls
-
-
-def test_no_square_root_per_registration_and_one_per_verified_request(monkeypatch):
+def test_no_square_root_per_registration_or_per_verified_request(monkeypatch):
     # operation counts: the authority validates the sealed ephemeral point
     # (x and y are both sent) and checks the commitment without a root; the
-    # roadside unit decodes only the request's A
-    calls = _count_sqrt_calls(monkeypatch)
+    # vehicle computes one root hint per pooled point when it fills its
+    # pool, and none while it builds a request; the roadside unit recovers
+    # A from its hint with no root and no discrete log
+    counts, ec_calls = _count_sqrt_calls(monkeypatch)
+    roots, hints, dlogs = counts["roots"], counts["hints"], counts["dlogs"]
     chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x700)
     vehicles = [vn] + [actors.Vehicle(f"VIN-{i}".encode(), random.Random(i), f"vn{i}") for i in (2, 3)]
     for now, vehicle in enumerate(vehicles, start=1000):
         request = vehicle.build_registration(lea.params)
-        before = len(calls)
+        before = len(hints)
         txid, sig, t_exp = lea.handle_registration(request, now)
-        assert len(calls) == before
+        assert len(hints) == before
         reply = rsms[0].complete_registration(txid, sig, t_exp, now)
         vehicle.finish_registration(reply, rsms[0].view, now)
-        assert len(calls) == before
+        assert len(hints) == before + actors.POOL_TARGET
+        assert roots == [] and len(dlogs) == len(hints)
     for now, vehicle in enumerate(vehicles, start=2000):
+        assert len(vehicle.credential.pool) == actors.POOL_TARGET
+        before = (len(hints), ec_calls())
         _, vn_ctx = vehicle.start_handover(rsus[0].sign_pk, now)
-        before = len(calls)
+        assert (len(hints), ec_calls()) == before
         reply, rsu_ctx = rsus[0].handle_request(vn_ctx.req_bytes, now)
-        assert len(calls) == before + 1
         ack, _ = vehicle.handle_reply(vn_ctx, reply.encode(), now)
         rsus[0].handle_ack(rsu_ctx, ack.encode(), now)
-        assert len(calls) == before + 1
+        assert len(hints) == before[0]
+        assert roots == [] and len(dlogs) == len(hints)
     # revoking and rotating compare keys: no decode
-    before = len(calls)
+    before = len(dlogs)
     _, updates = actors.rotate_group_key(lea, rsms, rsus, [vn.credential.commitment], now=3000)
-    assert len(updates) == 2 and len(calls) == before
+    assert len(updates) == 2 and roots == [] and len(dlogs) == before
+
+
+def test_random_pseudonym_is_rejected_before_h2_and_msm2(monkeypatch):
+    # a pID the RSU never minted decrypts to a wrong D, so S1 yields a
+    # wrong root hint and x(A) names no point under it: UnknownCredential
+    # before the challenge hash and the two-scalar multiplication
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x800)
+    actors.register_vehicle(vn, rsms[0], lea, now=0)
+    request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
+    raw = request.encode()
+    h2_calls = _count_calls(monkeypatch, hashes, "h2")
+    msm2_calls = _count_calls(monkeypatch, curve, "msm2")
+    rng = random.Random(0x5EED)
+    for _ in range(200):
+        with pytest.raises(actors.UnknownCredential):
+            rsus[0].handle_request(rng.randbytes(16) + raw[16:], now=2000)
+    assert h2_calls == [] and msm2_calls == []
+    rsus[0].handle_request(raw, now=2000)
+    assert len(h2_calls) == len(msm2_calls) == 1
 
 
 def test_single_byte_flips_never_authenticate():
@@ -505,7 +553,7 @@ def test_forged_requests_without_secrets_rejected():
         forged = actors.AuthRequest(
             pid=rng.randbytes(16),
             m=rng.randrange(curve.Q),
-            a_point=pt,
+            a_x=pt[0],
             s1=rng.randbytes(28),
             t1=2000,
         )
@@ -769,7 +817,7 @@ def test_trace_rejects_bad_evidence_and_unknown_ch():
     if not curve.has_even_y(pt):
         pt = curve.point_neg(pt)
     junk = actors.AuthRequest(
-        pid=rng.randbytes(16), m=rng.randrange(curve.Q), a_point=pt, s1=rng.randbytes(28), t1=2000
+        pid=rng.randbytes(16), m=rng.randrange(curve.Q), a_x=pt[0], s1=rng.randbytes(28), t1=2000
     ).encode()
     junk_report = rsus[0].report_malicious(junk)
     with pytest.raises(actors.UnknownCH):

@@ -85,15 +85,17 @@ def test_stall_longer_than_the_freshness_window_loses_the_request(monkeypatch):
 
 
 def test_forced_saturation_drops_requests():
-    # offered load a fixed multiple (4x) of the capacity read from the
+    # offered load a fixed multiple (8x) of the capacity read from the
     # verifier's thread-CPU cost per request. A preempted thread's CPU
     # clock stops, so a stall cannot make the probe read low, and a higher
     # rate only saturates harder. The window shrinks with the rate so the
-    # stream stays near 4000 requests, whose blinded points dominate the
-    # build time
+    # stream stays near 8000 requests, whose blinded points dominate the
+    # build time. The last of them starts late by 8000 service times less
+    # the window: 0.89 s at 7,000/s served, even if the probe read 4,000/s,
+    # against the 500 ms freshness window
     _, slope_ms, _ = bench.bench_batch_scaling(batch_sizes=(1, 10, 50, 100))
-    rate = 4 * math.ceil(1000 / slope_ms)
-    window_ms = max(1, 4000 * 1000 // rate)
+    rate = 8 * math.ceil(1000 / slope_ms)
+    window_ms = max(1, 8000 * 1000 // rate)
     rows, _ = bench.bench_loss_ratio(rate, window_ms, interval_ms=window_ms)
     total_offered = sum(r[1] for r in rows)
     total_dropped = sum(r[3] for r in rows)

@@ -22,7 +22,8 @@ root it replaced lives here as its oracle, with Euler's criterion as the
 residuosity verdict. Its one big exponentiation runs on libcrypto's
 ``BN_mod_exp_mont`` when the library loaded; Python's ``pow`` is the
 reference that path is held to, and the fallback. ``check_compressed``
-(Euler's criterion, no root) is held to ``point_decompress``'s verdict.
+(Euler's criterion, no root) is held to ``point_decompress``'s verdict,
+and ``point_from_hint`` with ``root_hint``'s hint to ``solve_y``.
 """
 
 import ctypes
@@ -743,6 +744,86 @@ def test_solve_y_even_root_matches_oracle():
         assert curve.point_decompress(bytes([3]) + x.to_bytes(28, "big")) == (x, P - even)
         found += 1
     assert found > 50
+
+
+def _seeded_abscissas(count):
+    """(on, off): ``count`` seeded random x in [0, P) that name a point,
+    and the x without one drawn on the way."""
+    rng = random.Random(0xEC + 18)
+    on, off = [], []
+    while len(on) < count:
+        x = rng.randrange(P)
+        (on if curve.solve_y(x) is not None else off).append(x)
+    return on, off
+
+
+def test_point_from_hint_equals_solve_y_on_seeded_points():
+    on, _ = _seeded_abscissas(10_000)
+    for x in on:
+        hint = curve.root_hint(x)
+        assert len(hint) == curve.HINT_BYTES and hint[-1] < 0x80, x
+        pt = curve.point_from_hint(x, hint)
+        assert pt == curve.solve_y(x) and pt[1] % 2 == 0, x
+
+
+def test_point_from_hint_refuses_every_other_hint():
+    # two roots differ by the factor -1 = g^(2^95), so one hint in
+    # [0, 2^95) passes the square check and every single-bit change fails it
+    on, _ = _seeded_abscissas(20)
+    for x in on:
+        hint = int.from_bytes(curve.root_hint(x), "little")
+        for bit in range(8 * curve.HINT_BYTES):
+            wrong = (hint ^ (1 << bit)).to_bytes(curve.HINT_BYTES, "little")
+            assert curve.point_from_hint(x, wrong) is None, (x, bit)
+        for wrong in (hint + 1, hint - 1, hint + (1 << 95)):
+            if 0 <= wrong < 2**96:
+                assert curve.point_from_hint(x, wrong.to_bytes(curve.HINT_BYTES, "little")) is None, x
+
+
+def test_point_from_hint_refuses_x_without_a_point():
+    on, off = _seeded_abscissas(400)
+    rng = random.Random(0xEC + 19)
+    assert len(off) > 300
+    for x in off:
+        hints = [0, 1, rng.randrange(2**95), curve.root_hint(rng.choice(on))]
+        for hint in hints:
+            if isinstance(hint, int):
+                hint = hint.to_bytes(curve.HINT_BYTES, "little")
+            assert curve.point_from_hint(x, hint) is None, x
+        with pytest.raises(ValueError):
+            curve.root_hint(x)
+
+
+def test_point_from_hint_refuses_a_hint_of_2_95_or_more_and_x_at_or_above_p():
+    on, _ = _seeded_abscissas(50)
+    for x in on + [3]:
+        hint = curve.root_hint(x)
+        # the same residue mod 2^95 with the top bit set: a second
+        # encoding of the same root, refused before any arithmetic
+        assert curve.point_from_hint(x, hint[:-1] + bytes([hint[-1] | 0x80])) is None, x
+        assert curve.point_from_hint(x, b"\xff" * curve.HINT_BYTES) is None, x
+    # x = 3 is on the curve and 3 + P still fits in 28 bytes
+    hint = curve.root_hint(3)
+    assert curve.point_from_hint(3, hint) == curve.solve_y(3)
+    for x in (3 + P, P, 2**224 - 1, -1):
+        assert curve.point_from_hint(x, hint) is None
+        with pytest.raises(ValueError):
+            curve.root_hint(x)
+    for bad in (b"", hint[:-1], hint + b"\x00"):
+        with pytest.raises(ValueError):
+            curve.point_from_hint(3, bad)
+
+
+def test_point_from_hint_agrees_without_libcrypto(monkeypatch):
+    isolated = curve_without_libcrypto(monkeypatch)
+    assert isolated._pow_p is isolated._pow_p_py
+    on, off = _seeded_abscissas(300)
+    for x in on:
+        hint = curve.root_hint(x)
+        assert isolated.root_hint(x) == hint, x
+        assert isolated.point_from_hint(x, hint) == curve.point_from_hint(x, hint), x
+    for x in off[:100]:
+        assert isolated.point_from_hint(x, bytes(curve.HINT_BYTES)) is None, x
 
 
 def test_scalar_bytes_round_trip():

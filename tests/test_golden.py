@@ -18,17 +18,17 @@ import pytest
 from v2xauth.simnet import scenarios
 
 GOLDEN_REQ_LINE = (
-    "t=1002 vn1->rsu1 REQ 5c816eb766a12397cf88099cf725fde265eb66b9f24b46afb32145135"
-    "1fe73104d8e24dae61beb9d5ef27c745650d1ee370a153e324cfaf6549b39bbd521a2f7289ebad9"
-    "b342390dc202c4d02b4544142cdd27e4390ca184db9051b6509d1ef3f0458113000003e8"
+    "t=1002 vn1->rsu1 REQ 5c816eb766a12397cf88099cf725fde2130a1a51007c43fdde5cebd2e"
+    "edf704fd4156191894c307256871a725650d1ee370a153e324cfaf6549b39bbd521a2f7289ebad9"
+    "b342390dc202c4d02b4544142cdd27e4390ca1843ec0505cdec22c6e0b97484c000003e8"
 )
 GOLDEN_REP_LINE = (
-    "t=1004 rsu1->vn1 REP 4e6e9ffd140039e37e49039f4365541b422bfd90cd9cd2c495beb7018"
-    "72fd857eb7ec45a3fc36f472bb49506adf91a5cf87402cc49112a3de7c1422aa302b547547973af"
-    "75b039273c89a382c03b59c6de91d2c2000003ea"
+    "t=1004 rsu1->vn1 REP f17956b762ffe07fe8953eafe06005c0ab830cc99994004bd9b1ee51d"
+    "32e3202fa9e4bd13c94be8dfc723d026c0b7119aaceb1a8c98b942329aac5da3118d4b260f680a9"
+    "ec0d6c7b438d74b8a10a9ce3d02d2584000003ea"
 )
-GOLDEN_ACK_LINE = "t=1006 vn1->rsu1 ACK a5b1ac25985350ec7979c73d508a6e5deac4a0f5"
-GOLDEN_TRANSCRIPT_SHA256 = "207b285a07a8de2238c072f4e4a7392f6f1ab246fb1d5f9f20efb72efe9e1fb2"
+GOLDEN_ACK_LINE = "t=1006 vn1->rsu1 ACK 71ce31467519f7cbf94ed75ff8e45a3f65440f63"
+GOLDEN_TRANSCRIPT_SHA256 = "58937766a288cd461f3e428d786f2f426fe1decefe74416d7373c8373da84275"
 
 
 def test_golden_handover_transcript():
@@ -52,18 +52,18 @@ def test_golden_field_widths():
 # SHA-256 of run_scenario(...).to_text() for every canned scenario: the
 # message lines and the event lines, including the authority's trace path.
 CANNED_TRANSCRIPT_SHA256 = {
-    "honest": "207b285a07a8de2238c072f4e4a7392f6f1ab246fb1d5f9f20efb72efe9e1fb2",
-    "demo": "fa8f75d4e8180396ccb39d13db136bbf832df377a9b521e1abe3a2580900e066",
-    "replay": "8dde5faeec1fe289a376149424016a9617dabdcf1978178536481e67a3685302",
-    "tamper-req": "4ae6fd23ad566502e988952fe02f5134bac8af2b085ebdc232c851180943d1ef",
-    "tamper-rep": "3cc495844b5f3c96cb13cdb973abd94f4217ceef0da5ac018510546eeb49148c",
-    "tamper-ack": "b36c8610913754f6939ca72a338ec412bc61753a9d2c9e26f8dc92d00e8e9ad1",
-    "splice": "42d19358a5c87511fe30e69b7c7c71b63ef8195ecfa6680a1a50efbd73326cb5",
+    "honest": "58937766a288cd461f3e428d786f2f426fe1decefe74416d7373c8373da84275",
+    "demo": "3f0a43060d5051191406d295a10886ee7a21ad93565623202b0307357d38b61a",
+    "replay": "d34a1b96a8442d9a4ea9f6cd701c2ca0c2a6f12b967ef35ad5ba8b58b8014239",
+    "tamper-req": "01d6cb0eb73bb868501771864f08f5cba50b4e5b8290d7f619ebc0a905e1af31",
+    "tamper-rep": "c23ad92d5f6857a1ae1ac5afe8524a8e56b3b7a456ddd1cd2f5c9b571e0808e4",
+    "tamper-ack": "0ee5d8bce06a393325511a7f3f01f654fa5b60a48eb566750085a46f41a8311c",
+    "splice": "af7ca50d70902318411785cb4529cc3e2489dbff8ba7e6aaf569c2491fdd379e",
     "impersonation": "839efb6e2049d56bb0c698bd50c1d52ec8feb8ef1704a940be371042efd3c870",
-    "cross-domain": "b50fa562ebfb9ad936a7684c497cdf226dc21902e7aa811e8d36a209e26a954d",
-    "cross-domain-early": "ac7757ba674cf0222e523fc2516628a65a9957cf0530798556931a6ad2776bf5",
-    "revocation": "34e810dd9c458aa92a681ad1caec09281741ea1d611ba1c78530ed66e35f4420",
-    "trace-audit": "c59f38315c6011c075b2707089135e3ad9ad25492ea91d4488bd6b0523d00982",
+    "cross-domain": "6c07835cd1b4474ffc51d27032131f9911ec05932259eb8e7490ca36a217fb45",
+    "cross-domain-early": "b4933c03a302ca945bd080d072d48524a22d7c9d25a8e65b3cde60305e798e5a",
+    "revocation": "bd6d333a4108383c5a1b3eec99333851bcacffc0114d0219504399a65d491d24",
+    "trace-audit": "1b4260253febac40a466b70b998adfcf1e175f651325851cf54febc577dd0cff",
     "bad-txid": "dfc88510134cc69b851f811b667fc6b13536cc2e841746dfdc598a97a247c05e",
 }
 

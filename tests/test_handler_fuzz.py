@@ -82,12 +82,15 @@ def _state(d):
     )
 
 
-def _assert_rejected_untouched(handler, data):
+def _assert_rejected_untouched(handler, data, expected=REJECTS):
+    """The rejection's type, after checking that it is one of ``expected``
+    and that it left the state untouched."""
     d = _domain()
     before = _state(d)
-    with pytest.raises(REJECTS):
+    with pytest.raises(expected) as caught:
         handler(d, data)
     assert _state(d) == before
+    return caught.type
 
 
 def _handle_request(d, data):
@@ -161,6 +164,27 @@ def test_every_single_byte_mutation_rejected_without_side_effects(name):
         raw = bytearray(honest)
         raw[i] ^= 0x80
         _assert_rejected_untouched(HANDLERS[name], bytes(raw))
+
+
+def test_every_s1_bit_flip_rejected_as_unknown_credential_without_side_effects():
+    # S1 holds the nonce and A's root hint: a flipped nonce bit changes
+    # the challenge, a flipped hint bit names no point for x(A)
+    honest = _domain()["req"]
+    for bit in range(8 * wire.S1_LEN):
+        raw = bytearray(honest)
+        raw[72 + bit // 8] ^= 0x80 >> (bit % 8)
+        _assert_rejected_untouched(_handle_request, bytes(raw), actors.UnknownCredential)
+
+
+def test_every_change_of_an_x_byte_rejected_as_unknown_credential_without_side_effects():
+    # P's top 128 bits are all ones, so no one-byte change takes x to P or
+    # above; every other x fails against the honest root hint
+    honest = _domain()["req"]
+    for i in range(44, 72):
+        for xor in range(1, 256):
+            raw = bytearray(honest)
+            raw[i] ^= xor
+            _assert_rejected_untouched(_handle_request, bytes(raw), actors.UnknownCredential)
 
 
 def test_the_fuzzed_messages_are_one_step_from_accepted_ones():
