@@ -138,7 +138,7 @@ class SystemParams:
     enc_pk: "tuple[int, int]"
 
 
-@dataclass
+@dataclass(slots=True)
 class ChameleonCredential:
     trapdoor: chameleon.ChameleonTrapdoor
     y_point: "tuple[int, int]"
@@ -148,10 +148,10 @@ class ChameleonCredential:
     t_exp: int
     pid: bytes
     d: bytes
-    pool: list = field(default_factory=list)  # (alpha, A, A's root hint) with even-y A
+    pool: list = field(default_factory=list)  # (alpha, x(A), A's root hint) with even-y A
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionContext:
     t1: int = 0
     beta_own: int = 0
@@ -238,8 +238,9 @@ def _recover_pseudonym_key(gs: GroupSecret, pid: bytes) -> "tuple[bytes, bytes]"
     return pd, hashes.h1(pd, gs.gk, gs.b, pid)
 
 
-def _recover_commitment(req: AuthRequest, d: bytes, rsu_pk) -> "tuple[int, tuple[int, int] | None]":
-    """(beta, CH) that a request authenticates under pseudonym key D.
+def _recover_commitment(req: AuthRequest, d: bytes, rsu_key: bytes) -> "tuple[int, tuple[int, int] | None]":
+    """(beta, CH) that a request authenticates under pseudonym key D and
+    the verifier's 29-byte compressed key.
 
     S1 decrypts to beta and A's root hint; the hint and x(A) give A, h2
     gives gamma, and CH = m*P + gamma*A. CH is None when x(A) and the
@@ -252,7 +253,7 @@ def _recover_commitment(req: AuthRequest, d: bytes, rsu_pk) -> "tuple[int, tuple
     a_pt = curve.point_from_hint(req.a_x, plain[BETA_BYTES:])
     if a_pt is None:
         return beta, None
-    gamma = hashes.h2(req.pid, beta, a_pt, req.s1, d, rsu_pk, req.t1)
+    gamma = hashes.h2(req.pid, beta, curve.even_y_key(req.a_x), req.s1, d, rsu_key, req.t1)
     return beta, curve.msm2(req.m, gamma, a_pt)
 
 
@@ -305,7 +306,7 @@ class Authority:
         except WireError as exc:
             raise BadEvidence(f"unparseable request: {exc}") from exc
         _, d_star = _recover_pseudonym_key(self.group_secret, req.pid)
-        _, ch = _recover_commitment(req, d_star, rsu_pk)
+        _, ch = _recover_commitment(req, d_star, curve.point_compress(rsu_pk))
         if ch is None:
             raise UnknownCH("request names no point A, or resolves to the identity point")
         self.view.sync_to(now)
@@ -380,6 +381,7 @@ class RoadsideUnit:
         self.params = rsm.params
         self.freshness_ms = freshness_ms
         self._sign_sk, self.sign_pk = signatures.keygen_sig(rng)
+        self.sign_key = curve.point_compress(self.sign_pk)  # h2 takes it compressed
         self._enc_sk, self.enc_pk = signatures.keygen_enc(rng)
         self._replay_cache: dict[tuple, int] = {}  # (pid, t1) -> seen at
         self._replay_order: deque = deque()  # (seen at, (pid, t1)), oldest first
@@ -420,7 +422,7 @@ class RoadsideUnit:
         self._check_replay(pid, t1)
         request = AuthRequest.decode(req_bytes)
         pd_star, d_star = _recover_pseudonym_key(self.group_secret, request.pid)
-        beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_pk)
+        beta_star, ch_candidate = _recover_commitment(request, d_star, self.sign_key)
         if ch_candidate is None:
             raise UnknownCredential("request names no point A, or resolves to the identity point")
         ch_key = curve.point_compress(ch_candidate)
@@ -485,18 +487,20 @@ class RoadsideUnit:
         sessions' pseudonyms are then minted in one batch, in table order:
         the region manager's RNG stream is the same as one
         ``mint_pseudonym`` per live session. Each update still gets its
-        own session-key keystream.
+        own session-key keystream, in one ``sym_encrypt_many`` batch that
+        encodes the context once; h1's group fields are encoded once per
+        epoch.
         """
         self.view.sync_to(now)
         for ch in [ch for ch, ctx in self.sessions.items() if ctx.t_exp <= now or self.view.is_revoked(ctx.ch_key)]:
             del self.sessions[ch]
         live = list(self.sessions.values())
-        context = _upd_context(self.group_secret.epoch)
-        updates = [
-            (ctx, UpdateMsg(s_upd=symmetric.sym_encrypt(ctx.ks, pid_new + d_new, context)))
-            for ctx, (pid_new, d_new) in zip(live, self.rsm.mint_pseudonyms(len(live)))
-        ]
-        return updates
+        sealed = symmetric.sym_encrypt_many(
+            [ctx.ks for ctx in live],
+            [pid_new + d_new for pid_new, d_new in self.rsm.mint_pseudonyms(len(live))],
+            _upd_context(self.group_secret.epoch),
+        )
+        return [(ctx, UpdateMsg(s_upd=s_upd)) for ctx, s_upd in zip(live, sealed)]
 
 
 class Vehicle:
@@ -520,8 +524,7 @@ class Vehicle:
         s = curve.rand_nonzero_scalar(self.rng)
         m0 = curve.rand_nonzero_scalar(self.rng)
         r0 = hashes.h0(self.identity, s)
-        # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
-        y_point = curve.ladder_mul(GEN, x)
+        y_point = curve.scalar_mul(GEN, x)
         commitment = chameleon.ch_commit(y_point, m0, r0)
         self._pending_keygen = (x, m0, r0, y_point, commitment)
         plain = (
@@ -562,17 +565,17 @@ class Vehicle:
     # -- handover ---------------------------------------------------------
 
     def _draw_blinded_point(self):
-        """(alpha, A = alpha*Y, A's root hint) with A in canonical even-y
+        """(alpha, x(A), A's root hint) for A = alpha*Y in canonical even-y
         form, which comes for free: negating alpha flips the point's y
-        parity. The hint is the discrete log the roadside unit would
-        otherwise take to recover A from its x."""
+        parity, so x(A) alone names A. The hint is the discrete log the
+        roadside unit would otherwise take to recover A from its x."""
         alpha = curve.rand_nonzero_scalar(self.rng)
-        # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
+        # the vehicle's one ladder call left: on the ladder until ROADMAP
+        # item 2's last slice moves it (after item 1a)
         a_pt = curve.ladder_mul(self.credential.y_point, alpha)
         if not curve.has_even_y(a_pt):
-            alpha = Q - alpha
-            a_pt = curve.point_neg(a_pt)
-        return alpha, a_pt, curve.root_hint(a_pt[0])
+            alpha = Q - alpha  # -A has the same x and an even y
+        return alpha, a_pt[0], curve.root_hint(a_pt[0])
 
     def refill_pool(self, target: int = POOL_TARGET) -> None:
         """Precompute blinded points off the critical path."""
@@ -594,13 +597,13 @@ class Vehicle:
             raise ProtocolError("not registered")
         if cred.t_exp <= now:
             raise ExpiredWindow("credential expired; re-register")
-        alpha, a_pt, hint = self._take_blinded_point()
+        alpha, a_x, hint = self._take_blinded_point()
         beta = _draw_beta(self.rng)
         t1 = now
         s1 = symmetric.sym_encrypt(cred.d, beta.to_bytes(BETA_BYTES, "big") + hint, _s1_context(t1))
-        gamma = hashes.h2(cred.pid, beta, a_pt, s1, cred.d, rsu_pk, t1)
+        gamma = hashes.h2(cred.pid, beta, curve.even_y_key(a_x), s1, cred.d, curve.point_compress(rsu_pk), t1)
         m = chameleon.ch_collide(cred.trapdoor, alpha * gamma % Q)
-        request = AuthRequest(pid=cred.pid, m=m, a_x=a_pt[0], s1=s1, t1=t1)
+        request = AuthRequest(pid=cred.pid, m=m, a_x=a_x, s1=s1, t1=t1)
         ctx = SessionContext(t1=t1, beta_own=beta, req_bytes=request.encode())
         return request, ctx
 
@@ -697,7 +700,7 @@ def audit_frame_claim(
         req = AuthRequest.decode(req_bytes)
     except WireError as exc:
         raise InvalidEvidence(f"unparseable request: {exc}") from exc
-    _, ch_evidence = _recover_commitment(req, disclosed_d, rsu_pk)
+    _, ch_evidence = _recover_commitment(req, disclosed_d, curve.point_compress(rsu_pk))
     tx = chain.get(txid)
     if tx is None or not isinstance(tx.payload, Registration):
         raise InvalidEvidence("claimed transaction not found")

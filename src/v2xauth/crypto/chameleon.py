@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .curve import Q, msm2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChameleonTrapdoor:
     """Secret opening key: k = m0 + r0*x for the recorded initial input."""
 

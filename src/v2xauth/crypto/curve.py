@@ -40,26 +40,30 @@ Which secret scalars take which path, with libcrypto loaded:
 * ``scalar_mul`` (native, one term): the long-term signing and
   decryption keys of the authority, region managers and roadside units
   at key generation (sk*G, fixed-base), every ECDSA nonce (k*G,
-  fixed-base, in ``signatures.sign``), and the decryption key in
-  ``signatures.adec`` (sk*E, variable-base);
+  fixed-base, in ``signatures.sign``), the decryption key in
+  ``signatures.adec`` (sk*E, variable-base), the vehicle's trapdoor x
+  (x*G, fixed-base, in ``Vehicle.build_registration``) and the ephemeral
+  key of ``signatures.aenc`` (eph*G fixed-base, eph*pk variable-base);
 * ``msm2`` (native, two terms): the vehicle's initial chameleon input m0
   and r0, in ``chameleon.ch_commit`` at registration (on two ladders
   without the library); every other ``msm2`` input (the handover's m
   and gamma, ECDSA verification) is public;
-* ``ladder_mul``, called by name: the vehicle's trapdoor x (x*G, in
-  ``Vehicle.build_registration``), its blinding values alpha (alpha*Y,
-  in ``Vehicle._draw_blinded_point``) and the ephemeral key of
-  ``signatures.aenc`` (eph*G and eph*pk).
+* ``ladder_mul``, called by name: only the vehicle's blinding values
+  alpha (alpha*Y, in ``Vehicle._draw_blinded_point``), POOL_TARGET per
+  registration and one per later pool refill.
 
 Side channels. With the installed OpenSSL 3.0.19 the secp224r1 group
 runs on ``EC_GFp_nistp224_method`` (checked: ``EC_GROUP_method_of``
 returns it), whose ``EC_POINT_mul`` selects precomputed table entries
 with masks instead of branches, for the generator and for a variable
-point alike. That constant-time behaviour is OpenSSL's design claim; it
-is not measured here, and a library built without the nistp224 method
-runs a different one. Python big integers are not constant-time, so
-the ladder is not either: its fixed step sequence is hygiene, not a
-guarantee, and the fallback gives no side-channel protection.
+point alike (Kasper, "Fast Elliptic Curve Cryptography in OpenSSL", FC
+2011 workshops). That constant-time behaviour is OpenSSL's design claim;
+it is not measured here, and a library built without the nistp224
+method runs a different one. Python big integers are not constant-time,
+so the ladder is not either: its fixed step sequence is hygiene, not a
+guarantee, and the fallback gives no side-channel protection. Of the
+secret scalars above, only alpha still takes the ladder when the
+library loads.
 
 At import the module opens the system OpenSSL 3 ``libcrypto.so.3``
 through ``ctypes`` once, types every function the package calls from
@@ -727,6 +731,11 @@ def point_from_hint(x: int, hint: bytes):
 
 def has_even_y(pt) -> bool:
     return pt is not None and pt[1] % 2 == 0
+
+
+def even_y_key(x: int) -> bytes:
+    """``point_compress`` of the even-y point with abscissa x: 0x02 || x."""
+    return b"\x02" + x.to_bytes(COORD_BYTES, "big")
 
 
 def point_compress(pt) -> bytes:

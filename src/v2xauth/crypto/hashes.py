@@ -25,6 +25,7 @@ through such an encoder; SHAKE-256 itself is about 2 us.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from .curve import Q, SCALAR_BYTES, point_compress
 
@@ -114,22 +115,32 @@ def h1(pd: bytes, gk: int, b: int, pid: bytes) -> bytes:
     """Per-vehicle symmetric key from the raw pseudonym and group secret."""
     pre = b"".join((
         _TAG_H1, len(pd).to_bytes(4, "big"), pd,
-        _SCALAR_LEN, gk.to_bytes(SCALAR_BYTES, "big"),
-        _SCALAR_LEN, b.to_bytes(SCALAR_BYTES, "big"),
+        _h1_group(gk, b),
         len(pid).to_bytes(4, "big"), pid,
     ))
     return hashlib.shake_256(pre).digest(TAG_LEN)
 
 
-def h2(pid: bytes, beta: int, a_pt, s1: bytes, d: bytes, rsu_pk, t1: int) -> int:
-    """Challenge scalar binding the whole request to the target verifier key."""
+@lru_cache(maxsize=8)
+def _h1_group(gk: int, b: int) -> bytes:
+    """h1's gk and b fields. The group secret changes only at rotation,
+    so a rotation's batch and every request of an epoch encode them once,
+    as ``symmetric.pid_cipher_key`` derives its subkey once."""
+    return b"".join((_SCALAR_LEN, gk.to_bytes(SCALAR_BYTES, "big"), _SCALAR_LEN, b.to_bytes(SCALAR_BYTES, "big")))
+
+
+def h2(pid: bytes, beta: int, a_key: bytes, s1: bytes, d: bytes, rsu_key: bytes, t1: int) -> int:
+    """Challenge scalar binding the whole request to the target verifier
+    key. A and the verifier key come as 29-byte compressed keys: A is
+    even-y, so its key is 0x02 || x(A), and the roadside unit compresses
+    its own key once."""
     pre = b"".join((
         _TAG_H2, len(pid).to_bytes(4, "big"), pid,
         _SCALAR_LEN, beta.to_bytes(SCALAR_BYTES, "big"),
-        _POINT_LEN, point_compress(a_pt),
+        _POINT_LEN, a_key,
         len(s1).to_bytes(4, "big"), s1,
         len(d).to_bytes(4, "big"), d,
-        _POINT_LEN, point_compress(rsu_pk),
+        _POINT_LEN, rsu_key,
         _TS_LEN, _ts(t1),
     ))
     return hash_to_scalar(pre)
@@ -185,8 +196,24 @@ def h6(m_secret: bytes, ks: bytes, req: bytes, rep: bytes) -> bytes:
 
 def keystream(key: bytes, context: bytes, n: int) -> bytes:
     """``n`` keystream bytes for the symmetric cipher, bound to (key, context)."""
-    pre = b"".join((_TAG_KEYSTREAM, len(key).to_bytes(4, "big"), key, len(context).to_bytes(4, "big"), context))
-    return hashlib.shake_256(pre).digest(n)
+    return keystreams((key,), context, n)[0]
+
+
+def keystreams(keys, context: bytes, n: int) -> "list[bytes]":
+    """``keystream(key, context, n)`` for each key in ``keys``, in order.
+    The preimage is the tag, the key and the context, each of the last two
+    after its length. A batch encodes the context fields once, and the
+    tag and key-length fields once per run of keys of one length (a
+    rotation's session keys are all 20 bytes)."""
+    tail = len(context).to_bytes(4, "big") + context
+    head_len, head = None, b""
+    streams = []
+    for key in keys:
+        if len(key) != head_len:
+            head_len = len(key)
+            head = _TAG_KEYSTREAM + head_len.to_bytes(4, "big")
+        streams.append(hashlib.shake_256(head + key + tail).digest(n))
+    return streams
 
 
 def sig_digest(msg: bytes) -> int:

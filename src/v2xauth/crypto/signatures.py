@@ -22,6 +22,13 @@ identity. A blob that fails raises ``IntegrityError`` before
 ``scalar_mul`` sees E, on either backend. The KDF hashes E compressed,
 with its parity prefix, so E and -E derive different keys.
 
+Every multiplication here goes through ``scalar_mul``, native when
+``curve``'s libcrypto loaded: the key pairs and the ECDSA nonce (fixed-
+base), the seal's eph*G (fixed-base) and eph*pk (variable-base), and
+``adec``'s sk*E (variable-base). ``verify`` is one ``msm2``. Native and
+ladder give the same points, so a seeded seal is the same bytes on
+either path.
+
 All randomness is drawn from the caller's RNG so that seeded runs are
 reproducible end to end, signatures included.
 """
@@ -36,7 +43,6 @@ from .curve import (
     Q,
     SCALAR_BYTES,
     is_on_curve,
-    ladder_mul,
     rand_nonzero_scalar,
     scalar_mul,
     msm2,
@@ -94,9 +100,8 @@ def verify(pk, sig: bytes, msg: bytes) -> bool:
 def aenc(pk, msg: bytes, rng) -> bytes:
     """Seal msg to pk: ephemeral x (28) || y (28) || tag (20) || ciphertext."""
     eph = rand_nonzero_scalar(rng)
-    # vehicle side: on the ladder until ROADMAP item 2 moves it (after item 1a)
-    eph_pub = ladder_mul(GEN, eph)
-    shared = ladder_mul(pk, eph)
+    eph_pub = scalar_mul(GEN, eph)
+    shared = scalar_mul(pk, eph)
     ke, km = hybrid_keys(eph_pub, shared)
     ct = sym_encrypt(ke, msg, b"hybrid")
     tag = hybrid_mac(km, ct)

@@ -124,7 +124,7 @@ def compute_txid(payload, height: int) -> bytes:
     return hashlib.sha256(payload.to_bytes() + height.to_bytes(8, "big")).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerTx:
     txid: bytes
     payload: "Registration | Revocation"

@@ -110,7 +110,8 @@ def test_request_satisfies_commitment_equation():
     beta = int.from_bytes(plain[: actors.BETA_BYTES], "big")
     a_pt = curve.point_from_hint(request.a_x, plain[actors.BETA_BYTES :])
     assert a_pt == curve.solve_y(request.a_x)
-    gamma = hashes.h2(request.pid, beta, a_pt, request.s1, d, rsus[0].sign_pk, request.t1)
+    a_key, rsu_key = curve.point_compress(a_pt), curve.point_compress(rsus[0].sign_pk)
+    gamma = hashes.h2(request.pid, beta, a_key, request.s1, d, rsu_key, request.t1)
     assert curve.msm2(request.m, gamma, a_pt) == vn.credential.commitment
 
 
@@ -121,9 +122,10 @@ def test_pool_points_are_even_y_and_recovered_from_their_hint():
     actors.register_vehicle(vn, rsms[0], lea, now=0)
     vn.refill_pool(target=2 * actors.POOL_TARGET)
     assert len(vn.credential.pool) == 2 * actors.POOL_TARGET
-    for alpha, a_pt, hint in vn.credential.pool:
-        assert a_pt == curve.scalar_mul(vn.credential.y_point, alpha) and curve.has_even_y(a_pt)
-        assert curve.point_from_hint(a_pt[0], hint) == a_pt
+    for alpha, a_x, hint in vn.credential.pool:
+        a_pt = curve.scalar_mul(vn.credential.y_point, alpha)
+        assert a_pt[0] == a_x and curve.has_even_y(a_pt)
+        assert curve.point_from_hint(a_x, hint) == a_pt
 
 
 def test_consecutive_handovers_share_no_wire_field():
@@ -344,10 +346,11 @@ def _count_ladder_calls(monkeypatch):
 
 
 @pytest.mark.skipif(curve._LIBCRYPTO is None, reason="without libcrypto every scalar_mul is the ladder")
-def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
+def test_only_the_vehicle_blinded_points_take_the_ladder(monkeypatch):
     # operation counts, not timings: the infrastructure's key generation,
-    # unsealing and signing run on libcrypto; the vehicle's credential
-    # arithmetic and its sealing still run on the Python ladder
+    # unsealing and signing, the vehicle's trapdoor key pair and its
+    # sealing run on libcrypto; only the pool's alpha*Y stays on the
+    # Python ladder, once per pooled point
     calls = _count_ladder_calls(monkeypatch)
     for seed in range(0xA2 + 0x600, 0xA2 + 0x604):
         calls.clear()
@@ -356,20 +359,36 @@ def test_infrastructure_private_key_operations_make_no_ladder_call(monkeypatch):
         assert len(calls) == 0
 
         request = vn.build_registration(lea.params)
-        vehicle_calls = len(calls)
+        signatures.aenc(lea.enc_pk, b"identity payload", random.Random(seed))
+        assert len(calls) == 0, seed
         txid, sig, t_exp = lea.handle_registration(request, now=1000)
-        assert len(calls) == vehicle_calls
         reply = rsms[0].complete_registration(txid, sig, t_exp, now=1000)
+        assert len(calls) == 0, seed
         vn.finish_registration(reply, rsms[0].view, now=1000)
-        # build: Y = x*G, then aenc's eph*G and eph*pk (one draw of eph,
-        # whatever the parity of its y); finish: POOL_TARGET alpha*Y
-        assert vehicle_calls == 1 + 2, seed
-        assert len(calls) == vehicle_calls + actors.POOL_TARGET == 11, seed
+        assert len(calls) == actors.POOL_TARGET == 8, seed
 
         before = len(calls)
         request, _ = vn.start_handover(rsus[0].sign_pk, now=2000)
         rsus[0].report_malicious(request.encode())
         assert len(calls) == before, seed
+
+
+def test_native_registration_bytes_equal_the_ladder_bytes(monkeypatch):
+    # the vehicle's key pair and its seal are the same points and the same
+    # RNG draws whichever path multiplies: with seeded RNGs, aenc and
+    # build_registration return the same bytes when scalar_mul is the ladder
+    chain, lea, rsms, rsus, vn = make_domain(0xA2 + 0x680)
+
+    def registration_bytes(seed):
+        vehicle = actors.Vehicle(b"VIN-0123456789AB", random.Random(seed), "vn-bytes")
+        sealed = signatures.aenc(lea.enc_pk, random.Random(seed).randbytes(seed % 64), random.Random(seed))
+        return vehicle.build_registration(lea.params).encode(), vehicle._pending_keygen, sealed
+
+    seeds = range(0x5EED, 0x5EED + 12)
+    native = [registration_bytes(seed) for seed in seeds]
+    monkeypatch.setattr(curve, "scalar_mul", curve.ladder_mul)
+    monkeypatch.setattr(signatures, "scalar_mul", curve.ladder_mul)
+    assert [registration_bytes(seed) for seed in seeds] == native
 
 
 def _count_sqrt_calls(monkeypatch):

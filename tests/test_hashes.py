@@ -16,7 +16,7 @@ def test_deterministic():
 def test_output_kinds_and_lengths():
     pt = curve.scalar_mul(GEN, 7)
     assert 0 < hashes.h0(b"x", 1) < Q
-    assert 0 < hashes.h2(b"pid", 3, pt, b"s1", b"d" * 20, GEN, 9) < Q
+    assert 0 < hashes.h2(b"pid", 3, curve.point_compress(pt), b"s1", b"d" * 20, curve.point_compress(GEN), 9) < Q
     assert len(hashes.h1(b"pd", 1, 2, b"pid")) == hashes.TAG_LEN
     assert len(hashes.h3(curve.point_compress(pt), b"d" * 20, 5, 1)) == hashes.TAG_LEN
     assert len(hashes.h4(5, b"m" * 20, 1)) == hashes.TAG_LEN
@@ -80,7 +80,7 @@ def _ts_field(t):
 FIXED_LAYOUT = [
     (hashes.h0, hashes.TAG_H0, ("bytes", "scalar"), "scalar"),
     (hashes.h1, hashes.TAG_H1, ("bytes", "scalar", "scalar", "bytes"), "tag"),
-    (hashes.h2, hashes.TAG_H2, ("bytes", "scalar", "point", "bytes", "bytes", "point", "ts"), "scalar"),
+    (hashes.h2, hashes.TAG_H2, ("bytes", "scalar", "point key", "bytes", "bytes", "point key", "ts"), "scalar"),
     (hashes.h3, hashes.TAG_H3, ("point key", "bytes", "scalar", "ts"), "tag"),
     (hashes.h4, hashes.TAG_H4, ("scalar", "bytes", "ts"), "tag"),
     (hashes.h5, hashes.TAG_H5, ("bytes", "scalar", "bytes", "bytes", "bytes", "bytes", "ts"), "tag"),
