@@ -487,20 +487,18 @@ class RoadsideUnit:
         sessions' pseudonyms are then minted in one batch, in table order:
         the region manager's RNG stream is the same as one
         ``mint_pseudonym`` per live session. Each update still gets its
-        own session-key keystream, in one ``sym_encrypt_many`` batch that
-        encodes the context once; h1's group fields are encoded once per
-        epoch.
+        own session-key keystream.
         """
         self.view.sync_to(now)
         for ch in [ch for ch, ctx in self.sessions.items() if ctx.t_exp <= now or self.view.is_revoked(ctx.ch_key)]:
             del self.sessions[ch]
         live = list(self.sessions.values())
-        sealed = symmetric.sym_encrypt_many(
-            [ctx.ks for ctx in live],
-            [pid_new + d_new for pid_new, d_new in self.rsm.mint_pseudonyms(len(live))],
-            _upd_context(self.group_secret.epoch),
-        )
-        return [(ctx, UpdateMsg(s_upd=s_upd)) for ctx, s_upd in zip(live, sealed)]
+        context = _upd_context(self.group_secret.epoch)
+        updates = [
+            (ctx, UpdateMsg(s_upd=symmetric.sym_encrypt(ctx.ks, pid_new + d_new, context)))
+            for ctx, (pid_new, d_new) in zip(live, self.rsm.mint_pseudonyms(len(live)))
+        ]
+        return updates
 
 
 class Vehicle:

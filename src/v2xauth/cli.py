@@ -112,12 +112,12 @@ def cmd_bench(args) -> int:
         comments=("per-phase handover cost in wall-clock milliseconds",),
     )
 
-    scaling_rows, per_request_ms, r2 = bench.bench_batch_scaling(seed=args.seed or 0xBF)
+    scaling_rows, slope, r2 = bench.bench_batch_scaling(seed=args.seed or 0xBF)
     bench.write_csv(
         out / "scaling.csv",
         ("batch_size", "total_ms"),
         scaling_rows,
-        comments=(f"median thread CPU {per_request_ms:.6f} ms/request, linear fit r_squared {r2:.6f}",),
+        comments=(f"linear fit slope {slope:.6f} ms/request, r_squared {r2:.6f}",),
     )
 
     interval_ms = 1000
@@ -142,7 +142,7 @@ def cmd_bench(args) -> int:
         print("phase latency (ms):")
         for phase, n, mean, p50, p95 in latency_rows:
             print(f"  {phase:20s} mean={mean:.4f} p50={p50:.4f} p95={p95:.4f} (n={n})")
-        print(f"batch scaling: {per_request_ms:.4f} ms/request (median thread CPU), r^2 {r2:.5f}")
+        print(f"batch scaling: slope {slope:.4f} ms/request, r^2 {r2:.5f}")
         print(f"loss at {args.rate}/s: {overall:.4f} ({capacity_note})")
     print(f"wrote {out / 'latency.csv'}, {out / 'scaling.csv'}, {out / 'loss.csv'}")
     return EXIT_OK

@@ -196,24 +196,8 @@ def h6(m_secret: bytes, ks: bytes, req: bytes, rep: bytes) -> bytes:
 
 def keystream(key: bytes, context: bytes, n: int) -> bytes:
     """``n`` keystream bytes for the symmetric cipher, bound to (key, context)."""
-    return keystreams((key,), context, n)[0]
-
-
-def keystreams(keys, context: bytes, n: int) -> "list[bytes]":
-    """``keystream(key, context, n)`` for each key in ``keys``, in order.
-    The preimage is the tag, the key and the context, each of the last two
-    after its length. A batch encodes the context fields once, and the
-    tag and key-length fields once per run of keys of one length (a
-    rotation's session keys are all 20 bytes)."""
-    tail = len(context).to_bytes(4, "big") + context
-    head_len, head = None, b""
-    streams = []
-    for key in keys:
-        if len(key) != head_len:
-            head_len = len(key)
-            head = _TAG_KEYSTREAM + head_len.to_bytes(4, "big")
-        streams.append(hashlib.shake_256(head + key + tail).digest(n))
-    return streams
+    pre = b"".join((_TAG_KEYSTREAM, len(key).to_bytes(4, "big"), key, len(context).to_bytes(4, "big"), context))
+    return hashlib.shake_256(pre).digest(n)
 
 
 def sig_digest(msg: bytes) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import curve
-from .hashes import keystream, keystreams, pid_kdf
+from .hashes import keystream, pid_kdf
 
 PID_LEN = 16
 
@@ -60,22 +60,6 @@ def sym_encrypt(key: bytes, plaintext: bytes, context: bytes) -> bytes:
 
 def sym_decrypt(key: bytes, ciphertext: bytes, context: bytes) -> bytes:
     return sym_encrypt(key, ciphertext, context)
-
-
-def sym_encrypt_many(keys, plaintexts, context: bytes) -> "list[bytes]":
-    """``sym_encrypt(key, plaintext, context)`` for each key and the
-    plaintext at its position, under one context: one ``keystreams``
-    batch and one XOR over all of them. Every plaintext must have the
-    length of the first, and there must be one key per plaintext."""
-    n = len(plaintexts[0]) if plaintexts else 0
-    if len(keys) != len(plaintexts) or any(len(p) != n for p in plaintexts):
-        raise ValueError("one key per plaintext, and plaintexts of one length")
-    if not n:
-        return [b""] * len(plaintexts)
-    total = n * len(plaintexts)
-    stream = b"".join(keystreams(keys, context, n))
-    sealed = (int.from_bytes(b"".join(plaintexts), "big") ^ int.from_bytes(stream, "big")).to_bytes(total, "big")
-    return [sealed[i : i + n] for i in range(0, total, n)]
 
 
 # the group secret changes only at rotation, so the subkey is cached per epoch value

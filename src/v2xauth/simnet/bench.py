@@ -20,7 +20,6 @@ buffer.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 import time
@@ -108,40 +107,32 @@ def bench_latency(iterations: int = 300, warmup: int = 30, seed: int = 0xBE):
 
 
 def bench_batch_scaling(batch_sizes=(1, 10, 100, 1000), seed: int = 0xBF):
-    """Total verification cost for n-request batches, the cost of one
-    request, and how linear the totals are.
+    """Total verification cost for n-request batches plus a linear fit.
 
     One pass serves ``max(batch_sizes)`` requests and reads this thread's
-    CPU clock around each, so a batch of n is the first n requests and
-    its total is the sum of their times. Thread CPU time, not wall-clock
-    time: a batch of one request lasts well under a millisecond, and on a
-    shared host another process's time slice would dominate it. The cost
-    of one request is the median of the per-request times, not the slope
-    of a fit through the totals, which moves with every slow call among
-    them. The median cannot correct a host whose speed shifts for
-    seconds at a time: within one call the per-request times sit within
-    about 10% of each other, yet back-to-back calls in one process have
-    read 0.13 and 0.27 ms.
+    CPU clock each time the count reaches a batch size, so a batch of n is
+    the first n requests. Thread CPU time, not wall-clock time: a batch of
+    one request lasts well under a millisecond, and on a shared host
+    another process's time slice would dominate it.
 
-    Returns (rows, per_request_ms, r_squared) where rows are (n, total_ms)
-    in ascending n and r_squared is that of a linear fit through them.
+    Returns (rows, slope_ms, r_squared) where rows are (n, total_ms) in
+    ascending n.
     """
     lea, rsm, rsu, vehicles = _fixture(seed, fleet=8, freshness_ms=10**12)
     nows = [1000 + i for i in range(max(batch_sizes))]
     requests = _request_stream(rsu, vehicles, nows)
     marks = set(batch_sizes)
     rows = []
-    call_ms = []
+    t0 = time.thread_time_ns()
     for n, (request, now) in enumerate(zip(requests, nows), 1):
-        t0 = time.thread_time_ns()
         rsu.handle_request(request, now)
-        call_ms.append((time.thread_time_ns() - t0) / 1e6)
         if n in marks:
-            rows.append((n, math.fsum(call_ms)))
+            rows.append((n, (time.thread_time_ns() - t0) / 1e6))
     xs = [float(n) for n, _ in rows]
     ys = [ms for _, ms in rows]
+    fit = statistics.linear_regression(xs, ys)
     r2 = statistics.correlation(xs, ys) ** 2
-    return rows, statistics.median(call_ms), r2
+    return rows, fit.slope, r2
 
 
 def bench_loss_ratio(rate: int, duration_ms: int, interval_ms: int = 1000, seed: int = 0xC0):

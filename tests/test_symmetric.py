@@ -64,26 +64,6 @@ def test_sym_encrypt_matches_encode_preimage_oracle():
         assert symmetric.sym_encrypt(key, plaintext, context) == _oracle_sym_encrypt(key, plaintext, context)
 
 
-def test_sym_encrypt_many_matches_the_oracle_per_key():
-    # one batch under one context, keys of mixed lengths in runs, leading
-    # zero bytes in the plaintexts: each ciphertext is the one-key oracle's
-    rng = random.Random(0x58)
-    for _ in range(300):
-        k = rng.randrange(1, 40)
-        n = rng.choice((1, 28, 36, rng.randrange(1, 100)))
-        keys = [rng.randbytes(rng.choice((20, 20, 20, 0, rng.randrange(64)))) for _ in range(k)]
-        plaintexts = [(bytes(rng.randrange(3)) + rng.randbytes(n))[:n] for _ in range(k)]
-        context = rng.randbytes(rng.choice((0, 7, rng.randrange(64))))
-        expect = [_oracle_sym_encrypt(key, p, context) for key, p in zip(keys, plaintexts)]
-        assert symmetric.sym_encrypt_many(keys, plaintexts, context) == expect
-        assert hashes.keystreams(keys, context, n) == [hashes.keystream(key, context, n) for key in keys]
-    assert symmetric.sym_encrypt_many([], [], b"ctx") == []
-    assert symmetric.sym_encrypt_many([b"k"], [b""], b"ctx") == [b""]
-    for keys, plaintexts in (([b"k"], [b"ab", b"cd"]), ([b"k", b"k"], [b"ab", b"c"])):
-        with pytest.raises(ValueError):
-            symmetric.sym_encrypt_many(keys, plaintexts, b"ctx")
-
-
 def test_sym_encrypt_known_answers():
     assert symmetric.sym_encrypt(b"k" * 20, b"", b"ctx") == b""
     assert symmetric.sym_encrypt(b"", b"", b"") == b""
